@@ -45,7 +45,6 @@ from .hierarchy import (
     bootstrap_perturb_affinity,
     identify_partitions_and_errors,
     infer_hierarchy,
-    perturb_affinity,
     structural_eigenvectors,
 )
 from .partition_search import best_eep_partition, kmeans, projection_error
@@ -111,7 +110,6 @@ __all__ = [
     "is_exact_eep",
     "kmeans",
     "laplacian",
-    "perturb_affinity",
     "projection_error",
     "quotient",
     "read_edge_list",

@@ -159,15 +159,12 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--z", type=int, default=100, show_default=True,
               help="Perturbation samples per level.")
-@click.option("--gamma-rel", type=float, default=None,
-              help="Fixed relative spectral-norm perturbation strength "
-                   "(default: noise-calibrated bootstrap).")
 @click.option("--restarts", type=int, default=10, show_default=True,
               help="k-means restarts.")
-def cmd_detect(edges_path, out_path, seed, z, gamma_rel, restarts):
+def cmd_detect(edges_path, out_path, seed, z, restarts):
     """Detect the community hierarchy of an edge-list graph."""
     graph = read_edge_list(edges_path)
-    config = DetectionConfig(z=z, gamma_rel=gamma_rel, kmeans_restarts=restarts)
+    config = DetectionConfig(z=z, kmeans_restarts=restarts)
     result = infer_hierarchy(graph, config=config, seed=seed)
     dump_json(hierarchy_to_dict(result, seed=seed), out_path)
     counts = ", ".join(str(level.k) for level in result.levels)
@@ -237,10 +234,7 @@ def _benchmark_rep(task: dict) -> dict:
         row[f"ami_level_{i + 1}"] = ""
     try:
         graph, truth = generate_hierarchical(spec)
-        config = DetectionConfig(
-            z=task["z"], gamma_rel=task["gamma_rel"], kmeans_restarts=task["restarts"]
-        )
-        result = infer_hierarchy(graph, config=config, seed=task["seed"])
+        result = infer_hierarchy(graph, config=task["config"], seed=task["seed"])
         inferred = [level.composed_partition for level in result.levels]
         report = score_hierarchy(truth.partitions, inferred)
         row["n_levels_inferred"] = len(result.levels)
@@ -263,17 +257,16 @@ def _benchmark_rep(task: dict) -> dict:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="results.csv", show_default=True)
 @click.option("--z", type=int, default=100, show_default=True)
-@click.option("--gamma-rel", type=float, default=None,
-              help="Fixed perturbation strength (default: noise-calibrated).")
 @click.option("--restarts", type=int, default=10, show_default=True)
 def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_path,
-                  z, gamma_rel, restarts):
+                  z, restarts):
     """Sweep SNR values with repetitions and write a CSV of scores."""
     if reps < 1:
         raise click.UsageError("--reps must be >= 1")
     schedule_t = _parse_schedule(schedule or DEFAULT_SCHEDULES[model])
     snr_values = _parse_snr_range(snr_range)
     n_truth_levels = 1 if model == "flat" else len(schedule_t)
+    config = DetectionConfig(z=z, kmeans_restarts=restarts)
     tasks = []
     for snr_idx, snr in enumerate(snr_values):
         for rep in range(reps):
@@ -286,9 +279,7 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
                     "snr": snr,
                     "rep": rep,
                     "seed": substream_seed(seed, "benchmark", snr_idx, rep),
-                    "z": z,
-                    "gamma_rel": gamma_rel,
-                    "restarts": restarts,
+                    "config": config,
                     "n_truth_levels": n_truth_levels,
                 }
             )

@@ -3,9 +3,8 @@ matrices between partition lists, and hierarchy precision/recall.
 
 AMI is chance-corrected under the permutation (fixed-marginals) null:
 ``(I - E[I]) / ((Ent1 + Ent2)/2 - E[I])``.  The expectation is computed
-analytically from the hypergeometric distribution of contingency cells; a
-Monte Carlo permutation estimator is provided for validation.  All
-information quantities use natural logarithms (AMI itself is
+analytically from the hypergeometric distribution of contingency cells.
+All information quantities use natural logarithms (AMI itself is
 base-invariant).
 """
 
@@ -18,14 +17,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .graph import Partition
-from .rng import substream
 
 __all__ = [
     "ami",
     "mutual_information",
     "entropy",
     "expected_mutual_information",
-    "mc_expected_mutual_information",
     "score_matrix",
     "score_hierarchy",
     "ScoreReport",
@@ -108,18 +105,6 @@ def expected_mutual_information(row_sums, col_sums, n: int) -> float:
             contrib = nij / n * (np.log(nij) + log_n - np.log(ai) - np.log(bj))
             total += float(np.sum(np.exp(log_p) * contrib))
     return total
-
-
-def mc_expected_mutual_information(
-    labels1, labels2, samples: int = 1000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo permutation estimate of E[MI]; returns (mean, std error)."""
-    labels1, labels2 = _labels(labels1), _labels(labels2)
-    rng = substream(seed, "emi-permutation")
-    values = np.empty(samples)
-    for t in range(samples):
-        values[t] = mutual_information(labels1, rng.permutation(labels2))
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
 
 
 def _identical_up_to_relabeling(cont: np.ndarray) -> bool:

@@ -28,7 +28,6 @@ __all__ = [
     "expected_error",
     "expected_error_conditional",
     "NullErrorCurve",
-    "perturb_affinity",
     "bootstrap_perturb_affinity",
     "structural_eigenvectors",
     "LevelCandidates",
@@ -45,7 +44,7 @@ __all__ = [
 SIGMA_BRACKET = (1e-6, 1e2)
 SIGMA_TOL = 1e-8
 
-# Default perturbation: noise-calibrated bootstrap at sqrt(2) standard
+# Perturbation scale: a noise-calibrated bootstrap at sqrt(2) standard
 # errors per entry, the scale at which two independent estimates of the
 # same affinity matrix differ.  A level that survives it would be found
 # again on a fresh sample; a degenerate level would not.
@@ -58,13 +57,9 @@ def expected_error(n: int, r: int) -> float:
     This is the mean squared residual of ``r`` random orthonormal columns
     (the constant vector always included) after removing the group means of
     an independent partition into ``r`` groups.  Vanishes at ``r = 1`` and
-    ``r = n``.
+    ``r = n``; the unconditioned case of ``expected_error_conditional``.
     """
-    if n < 2:
-        raise ValueError("ambient dimension must be at least 2")
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range 1..{n}")
-    return (n - r) * (r - 1) / (n - 1)
+    return expected_error_conditional(n, r)
 
 
 def expected_error_conditional(n: int, r: int, kappas=()) -> float:
@@ -108,36 +103,6 @@ class NullErrorCurve:
         )
         values.setflags(write=False)
         return cls(n=n, conditioning=kappas, values=values)
-
-
-def perturb_affinity(
-    omega: AffinityMatrix, gamma_rel: float, seed: int = 0
-) -> AffinityMatrix:
-    """Add a symmetric random perturbation of fixed relative spectral norm.
-
-    The perturbation is i.i.d. standard normal on the upper triangle
-    (mirrored) and rescaled so that the spectral-norm ratio of change to
-    original is exactly ``gamma_rel``.  Entries of the result may be
-    negative; only eigenvectors are consumed downstream.
-    """
-    if gamma_rel < 0:
-        raise ValueError("relative perturbation strength must be non-negative")
-    if gamma_rel == 0.0:
-        return omega
-    k = omega.k
-    rng = substream(seed, "affinity-perturbation")
-    gamma = np.zeros((k, k))
-    iu = np.triu_indices(k)
-    gamma[iu] = rng.standard_normal(iu[0].size)
-    gamma = gamma + np.triu(gamma, k=1).T
-    omega_norm = np.linalg.norm(omega.values, 2)
-    gamma_norm = np.linalg.norm(gamma, 2)
-    if omega_norm == 0.0 or gamma_norm == 0.0:
-        return omega
-    scale = gamma_rel * omega_norm / gamma_norm
-    return AffinityMatrix(
-        values=omega.values + scale * gamma, group_sizes=omega.group_sizes
-    )
 
 
 def bootstrap_perturb_affinity(
@@ -216,7 +181,6 @@ class LevelCandidates:
 def identify_partitions_and_errors(
     omega: AffinityMatrix,
     z: int = 100,
-    gamma_rel: float | None = None,
     seed: int = 0,
     restarts: int = 10,
 ) -> LevelCandidates:
@@ -226,42 +190,38 @@ def identify_partitions_and_errors(
     For every size ``r`` in ``2..k-1`` the rows of the first ``r``
     random-walk eigenvectors are clustered; the single-group and identity
     partitions cover ``r = 1`` and ``r = k``.  Each candidate's projection
-    error is then averaged over ``z`` randomly perturbed affinity matrices:
-    robust (non-degenerate) partitions keep small errors under
-    perturbation.
-
-    ``gamma_rel=None`` (the default) perturbs at the entries' estimation-
-    noise scale (see ``bootstrap_perturb_affinity``); passing a number uses
-    a fixed relative spectral-norm perturbation of that strength instead.
+    error is then averaged over ``z`` bootstrap perturbations of the
+    affinity matrix, each entry moved at the scale of its own estimation
+    noise (see ``bootstrap_perturb_affinity``): robust (non-degenerate)
+    partitions keep small errors under perturbation.  Below three groups
+    there is no size to test and every error is zero.
     """
     if z < 1:
         raise ValueError("number of perturbation samples must be >= 1")
     k = omega.k
     partitions = [Partition.single_group(k)]
-    if k >= 2:
-        if k >= 3:
-            _, vectors = structural_eigenvectors(omega.values)
-            for r in range(2, k):
-                partitions.append(
-                    best_eep_partition(
-                        vectors[:, :r],
-                        r,
-                        restarts=restarts,
-                        seed=substream_seed(seed, "subpartition", r),
-                    )
-                )
-        partitions.append(Partition.identity(k))
     if k < 3:
+        if k == 2:
+            partitions.append(Partition.identity(k))
         return LevelCandidates(
             partitions=partitions, mean_errors=np.zeros(len(partitions))
         )
+    _, vectors = structural_eigenvectors(omega.values)
+    for r in range(2, k):
+        partitions.append(
+            best_eep_partition(
+                vectors[:, :r],
+                r,
+                restarts=restarts,
+                seed=substream_seed(seed, "subpartition", r),
+            )
+        )
+    partitions.append(Partition.identity(k))
     errors = np.zeros(k)
     for zeta in range(z):
-        sample_seed = substream_seed(seed, "sample", zeta)
-        if gamma_rel is None:
-            perturbed = bootstrap_perturb_affinity(omega, seed=sample_seed)
-        else:
-            perturbed = perturb_affinity(omega, gamma_rel, seed=sample_seed)
+        perturbed = bootstrap_perturb_affinity(
+            omega, seed=substream_seed(seed, "sample", zeta)
+        )
         _, pert_vectors = structural_eigenvectors(perturbed.values)
         for r in range(1, k + 1):
             errors[r - 1] += projection_error(partitions[r - 1], pert_vectors[:, :r])
@@ -363,12 +323,11 @@ def find_relevant_minima(mean_errors) -> list[int]:
 class DetectionConfig:
     """Tunable parameters of hierarchy detection.
 
-    ``gamma_rel=None`` uses the noise-calibrated bootstrap perturbation;
-    a number switches to a fixed relative spectral-norm perturbation.
+    ``z`` is the number of bootstrap perturbations that score each level's
+    candidates; ``kmeans_restarts`` applies to every k-means run.
     """
 
     z: int = 100
-    gamma_rel: float | None = None
     kmeans_restarts: int = 10
 
 
@@ -432,7 +391,6 @@ def infer_hierarchy(
         candidates = identify_partitions_and_errors(
             current.affinity,
             z=config.z,
-            gamma_rel=config.gamma_rel,
             seed=substream_seed(seed, "identify", len(levels)),
             restarts=config.kmeans_restarts,
         )

@@ -85,17 +85,11 @@ def _residual_norms(matrix, eigenvalues, eigenvectors) -> np.ndarray:
     return np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
 
 
-def eigs_symmetric(
-    matrix,
-    m: int,
-    which: str = "smallest-algebraic",
-    seed: int = 0,
-) -> EigsResult:
-    """Compute ``m`` eigenpairs of a symmetric matrix.
+def eigs_symmetric(matrix, m: int, seed: int = 0) -> EigsResult:
+    """Compute the ``m`` smallest-algebraic eigenpairs of a symmetric matrix.
 
-    ``which`` selects ``smallest-algebraic`` or ``largest-magnitude``
-    eigenvalues.  Sparse inputs above the dense cutoff use ARPACK with a
-    seeded starting vector, so results are deterministic for a fixed seed.
+    Sparse inputs above the dense cutoff use ARPACK with a seeded starting
+    vector, so results are deterministic for a fixed seed.
 
     Raises
     ------
@@ -103,8 +97,6 @@ def eigs_symmetric(
         If the iterative solver fails to converge; carries the residual
         norms of the eigenpairs available at that point.
     """
-    if which not in ("smallest-algebraic", "largest-magnitude"):
-        raise ValueError(f"unknown eigenvalue selection {which!r}")
     n = matrix.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must be between 1 and n={n}")
@@ -120,17 +112,12 @@ def eigs_symmetric(
     if dense_input or n <= _DENSE_CUTOFF or m > n // 2 or m >= n - 1:
         dense = matrix if dense_input else matrix.toarray()
         values, vectors = scipy.linalg.eigh(dense)
-        if which == "smallest-algebraic":
-            idx = np.arange(m)
-        else:
-            idx = np.argsort(np.abs(values), kind="stable")[::-1][:m]
-            idx = idx[np.argsort(values[idx], kind="stable")]
-        return EigsResult(eigenvalues=values[idx], eigenvectors=vectors[:, idx])
+        # copy, so the full n-by-n basis is not kept alive by a view
+        return EigsResult(eigenvalues=values[:m], eigenvectors=vectors[:, :m].copy())
 
     v0 = substream(seed, "eigs-start").standard_normal(n)
-    arpack_which = "SA" if which == "smallest-algebraic" else "LM"
     try:
-        values, vectors = eigsh(matrix, k=m, which=arpack_which, v0=v0)
+        values, vectors = eigsh(matrix, k=m, which="SA", v0=v0)
     except ArpackNoConvergence as exc:
         residuals = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -165,7 +152,7 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
     cap = min(n, COUNT_CAP)
     m = min(8, cap)
     while True:
-        res = eigs_symmetric(matrix, m, "smallest-algebraic", seed=seed)
+        res = eigs_symmetric(matrix, m, seed=seed)
         count = int(np.sum(res.eigenvalues <= tau))
         if count < m or m >= cap:
             return count, res.eigenvectors[:, :count]

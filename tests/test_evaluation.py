@@ -7,9 +7,21 @@ from hierspect import Partition, ami, score_hierarchy, score_matrix
 from hierspect.evaluation import (
     entropy,
     expected_mutual_information,
-    mc_expected_mutual_information,
     mutual_information,
 )
+from hierspect.rng import substream
+
+
+def mc_expected_mutual_information(labels1, labels2, samples=1000, seed=0):
+    """Monte Carlo permutation estimate of E[MI]; returns (mean, std error).
+
+    The reference the analytic expectation is checked against.
+    """
+    rng = substream(seed, "emi-permutation")
+    values = np.empty(samples)
+    for t in range(samples):
+        values[t] = mutual_information(labels1, rng.permutation(labels2))
+    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
 
 
 class TestAmi:

@@ -28,19 +28,15 @@ class TestEigsSymmetric:
         np.testing.assert_allclose(res.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_diagonal_smallest(self):
-        res = eigs_symmetric(np.diag([3.0, 1.0, 2.0]), 2, "smallest-algebraic")
+        res = eigs_symmetric(np.diag([3.0, 1.0, 2.0]), 2)
         np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
-
-    def test_largest_magnitude(self):
-        res = eigs_symmetric(np.diag([-5.0, 1.0, 3.0]), 2, "largest-magnitude")
-        np.testing.assert_allclose(res.eigenvalues, [-5.0, 3.0])
 
     def test_sparse_path_matches_dense(self):
         rng = np.random.default_rng(0)
         n = 1500
         mat = sp.random(n, n, density=0.005, random_state=1)
         mat = (mat + mat.T).tocsr()
-        res = eigs_symmetric(mat, 4, "smallest-algebraic", seed=7)
+        res = eigs_symmetric(mat, 4, seed=7)
         dense = np.linalg.eigvalsh(mat.toarray())[:4]
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-8)
 
