@@ -110,7 +110,7 @@ def _build_spec(model, n, groups, group_size, schedule, snr, avg_degree, seed) -
         raise click.UsageError(str(exc))
 
 
-def _truth_document(spec: SynthSpec, truth, seed: int) -> dict:
+def _truth_document(truth, seed: int) -> dict:
     fine = truth.partitions[0]
     omegas = [np.asarray(truth.omega_fine)]
     omega = AffinityMatrix(values=truth.omega_fine, group_sizes=fine.group_sizes)
@@ -146,7 +146,7 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
     spec = _build_spec(model, n, groups, group_size, schedule, snr, avg_degree, seed)
     graph, truth = generate_hierarchical(spec)
     write_edge_list(graph, edges_path)
-    dump_json(_truth_document(spec, truth, seed), truth_path)
+    dump_json(_truth_document(truth, seed), truth_path)
     _status(
         f"generated {spec.model} network: n={graph.n}, "
         f"edges={int(graph.total_weight) // 2}, levels={len(truth.partitions)}"
@@ -157,9 +157,9 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
 @click.option("--edges", "edges_path", type=click.Path(), required=True)
 @click.option("--out", "out_path", type=click.Path(), default="hierarchy.json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--z", type=int, default=100, show_default=True,
+@click.option("--z", type=click.IntRange(min=1), default=100, show_default=True,
               help="Perturbation samples per level.")
-@click.option("--restarts", type=int, default=10, show_default=True,
+@click.option("--restarts", type=click.IntRange(min=1), default=10, show_default=True,
               help="k-means restarts.")
 def cmd_detect(edges_path, out_path, seed, z, restarts):
     """Detect the community hierarchy of an edge-list graph."""
@@ -253,16 +253,14 @@ def _benchmark_rep(task: dict) -> dict:
 @click.option("--schedule", type=str, default=None)
 @click.option("--avg-degree", type=float, required=True)
 @click.option("--snr-range", type=str, required=True, help="'start:stop:step' sweep.")
-@click.option("--reps", type=int, default=1, show_default=True)
+@click.option("--reps", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="results.csv", show_default=True)
-@click.option("--z", type=int, default=100, show_default=True)
-@click.option("--restarts", type=int, default=10, show_default=True)
+@click.option("--z", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=10, show_default=True)
 def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_path,
                   z, restarts):
     """Sweep SNR values with repetitions and write a CSV of scores."""
-    if reps < 1:
-        raise click.UsageError("--reps must be >= 1")
     schedule_t = _parse_schedule(schedule or DEFAULT_SCHEDULES[model])
     snr_values = _parse_snr_range(snr_range)
     n_truth_levels = 1 if model == "flat" else len(schedule_t)
@@ -283,7 +281,10 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
                     "n_truth_levels": n_truth_levels,
                 }
             )
-    workers = int(os.environ.get("HIERSPECT_WORKERS", "1"))
+    try:
+        workers = int(os.environ.get("HIERSPECT_WORKERS", "1"))
+    except ValueError:
+        raise click.UsageError("HIERSPECT_WORKERS must be an integer")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_rep, tasks))

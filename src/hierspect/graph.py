@@ -68,6 +68,8 @@ class Partition:
         if labels.min() < 0:
             raise ValueError("group labels must be non-negative")
         k = int(labels.max()) + 1
+        if k > labels.size:  # checked before bincount allocates k counters
+            raise ValueError(f"labels are not dense: label {k - 1} among {labels.size} items")
         sizes = np.bincount(labels, minlength=k)
         if np.any(sizes == 0):
             missing = np.flatnonzero(sizes == 0)

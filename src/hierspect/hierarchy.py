@@ -44,10 +44,10 @@ __all__ = [
 SIGMA_BRACKET = (1e-6, 1e2)
 SIGMA_TOL = 1e-8
 
-# Perturbation scale: a noise-calibrated bootstrap at sqrt(2) standard
-# errors per entry, the scale at which two independent estimates of the
-# same affinity matrix differ.  A level that survives it would be found
-# again on a fresh sample; a degenerate level would not.
+# Bootstrap perturbation size: sqrt(2) standard errors per entry, the
+# noise level at which two independent estimates of the same affinity
+# matrix differ.  A level that survives it would be found again on a
+# fresh sample; a degenerate level would not.
 BOOTSTRAP_SCALE = float(np.sqrt(2.0))
 
 
@@ -71,20 +71,9 @@ def expected_error_conditional(n: int, r: int, kappas=()) -> float:
     is continuous, non-negative and vanishes at 1, n and every kappa.
     Reduces to the unconditional curve when ``kappas`` is empty.
     """
-    if n < 2:
-        raise ValueError("ambient dimension must be at least 2")
     if not 1 <= r <= n:
         raise ValueError(f"r={r} out of range 1..{n}")
-    kappas = tuple(int(k) for k in kappas)
-    if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
-        raise ValueError("conditioning sizes must be strictly increasing")
-    if kappas and (kappas[0] <= 1 or kappas[-1] >= n):
-        raise ValueError("conditioning sizes must lie strictly between 1 and n")
-    knots = (1,) + kappas + (n,)
-    for lo, hi in zip(knots, knots[1:]):
-        if lo <= r <= hi:
-            return (hi - r) * (r - lo) / (hi - lo)
-    raise AssertionError("unreachable: r inside 1..n")
+    return float(NullErrorCurve.build(n, kappas).values[r - 1])
 
 
 @dataclass(frozen=True)
@@ -97,31 +86,35 @@ class NullErrorCurve:
 
     @classmethod
     def build(cls, n: int, kappas=()) -> "NullErrorCurve":
+        """Evaluate ``expected_error_conditional`` at every r = 1..n."""
+        if n < 2:
+            raise ValueError("ambient dimension must be at least 2")
         kappas = tuple(int(k) for k in kappas)
-        values = np.array(
-            [expected_error_conditional(n, r, kappas) for r in range(1, n + 1)]
-        )
+        if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
+            raise ValueError("conditioning sizes must be strictly increasing")
+        if kappas and (kappas[0] <= 1 or kappas[-1] >= n):
+            raise ValueError("conditioning sizes must lie strictly between 1 and n")
+        knots = np.array((1, *kappas, n))
+        r = np.arange(1, n + 1)
+        # segment [lo, hi] holding each r; a knot maps to the segment it ends
+        seg = np.clip(np.searchsorted(knots, r), 1, len(knots) - 1)
+        lo, hi = knots[seg - 1], knots[seg]
+        values = (hi - r) * (r - lo) / (hi - lo)
         values.setflags(write=False)
         return cls(n=n, conditioning=kappas, values=values)
 
 
-def bootstrap_perturb_affinity(
-    omega: AffinityMatrix, scale: float = BOOTSTRAP_SCALE, seed: int = 0
-) -> AffinityMatrix:
+def bootstrap_perturb_affinity(omega: AffinityMatrix, seed: int = 0) -> AffinityMatrix:
     """Perturb each entry at the scale of its own estimation noise.
 
     Treats entries as connection densities estimated from ``n_r * n_s``
     node pairs, giving per-entry standard errors
     ``sqrt(p (1 - p) / (n_r n_s))`` (with add-one smoothing so exact 0/1
     estimates keep a one-pair floor).  A symmetric standard-normal draw
-    scaled by ``scale`` standard errors is added; at the default sqrt(2)
-    this simulates the disagreement between two independent estimates of
-    the same affinity matrix.
+    scaled by ``BOOTSTRAP_SCALE`` (sqrt(2)) standard errors is added, which
+    simulates the disagreement between two independent estimates of the
+    same affinity matrix.
     """
-    if scale < 0:
-        raise ValueError("bootstrap scale must be non-negative")
-    if scale == 0.0:
-        return omega
     k = omega.k
     sizes = omega.group_sizes.astype(np.float64)
     pairs = np.outer(sizes, sizes)
@@ -134,7 +127,8 @@ def bootstrap_perturb_affinity(
     gamma[iu] = rng.standard_normal(iu[0].size)
     gamma = gamma + np.triu(gamma, k=1).T
     return AffinityMatrix(
-        values=omega.values + scale * gamma * stderr, group_sizes=omega.group_sizes
+        values=omega.values + BOOTSTRAP_SCALE * gamma * stderr,
+        group_sizes=omega.group_sizes,
     )
 
 

@@ -4,8 +4,10 @@ Hierarchy documents carry the node count and a fine-to-coarse list of
 levels, each with its group count, a membership vector over the original
 nodes, and the estimated group-affinity matrix.  Truth files share the
 schema and add the finest-level generating probabilities under
-``omega_fine``.  Outputs are written with sorted keys so equal inputs and
-seeds produce byte-identical files.
+``omega_fine``.  The schemas check a membership vector only for being an
+array; ``load_levels`` checks its entries by building a ``Partition``
+(``n`` integer labels ``0..k-1``, each used).  Outputs are written with
+sorted keys so equal inputs and seeds produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ _LEVEL_SCHEMA = {
     "required": ["k", "membership", "omega"],
     "properties": {
         "k": {"type": "integer", "minimum": 1},
-        "membership": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "membership": {"type": "array"},
         "omega": {
             "type": "array",
             "items": {"type": "array", "items": {"type": "number"}},
@@ -128,6 +130,7 @@ def score_to_dict(report) -> dict:
 
 
 def validate_document(doc, schema) -> None:
+    """Raise ``SchemaError`` on a mismatch; ``load_levels`` checks membership entries."""
     try:
         jsonschema.validate(doc, schema)
     except jsonschema.ValidationError as exc:
@@ -142,22 +145,27 @@ def load_levels(path, schema=HIERARCHY_SCHEMA) -> tuple[int, list]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays nested deeper than the parser can follow
             raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
     validate_document(doc, schema)
     n = doc["n"]
     partitions = []
     for idx, level in enumerate(doc["levels"]):
-        membership = np.asarray(level["membership"], dtype=np.int64)
-        if membership.size != n:
+        where = f"$.levels[{idx}].membership"
+        try:
+            partition = Partition.from_labels(np.asarray(level["membership"]))
+        except ValueError as exc:
             raise SchemaError(
-                f"level {idx} membership has {membership.size} entries, expected {n}",
-                json_path=f"$.levels[{idx}].membership",
+                f"invalid membership at {where}: {exc}", json_path=where
+            ) from exc
+        if partition.n != n:
+            raise SchemaError(
+                f"{where} has {partition.n} entries, expected {n}", json_path=where
             )
-        partition = Partition.from_labels(membership)
         if partition.k != level["k"]:
             raise SchemaError(
-                f"level {idx} declares k={level['k']} but membership has "
+                f"level {idx} declares k={level['k']} but {where} has "
                 f"{partition.k} groups",
                 json_path=f"$.levels[{idx}].k",
             )

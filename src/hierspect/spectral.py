@@ -100,12 +100,7 @@ def eigs_symmetric(matrix, m: int, seed: int = 0) -> EigsResult:
     n = matrix.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m={m} must be between 1 and n={n}")
-    sym_err = abs(matrix - matrix.T)
-    max_asym = sym_err.max() if isinstance(sym_err, np.ndarray) else (
-        sym_err.max() if sym_err.nnz else 0.0
-    )
-    scale = abs(matrix).max() if isinstance(matrix, np.ndarray) else abs(matrix).max()
-    if max_asym > 1e-10 * max(1.0, scale):
+    if abs(matrix - matrix.T).max() > 1e-10 * max(1.0, abs(matrix).max()):
         raise ValueError("matrix is not symmetric")
 
     dense_input = isinstance(matrix, np.ndarray)

@@ -210,8 +210,7 @@ def sample_block_model(
     else:
         u = np.empty(0, dtype=np.int64)
         v = np.empty(0, dtype=np.int64)
-    graph = Graph.from_arrays(u, v, None, n=n) if u.size else Graph.from_edges([], n=n)
-    return graph, Partition.from_labels(labels)
+    return Graph.from_arrays(u, v, None, n=n), Partition.from_labels(labels)
 
 
 def generate_planted_partition(

@@ -147,6 +147,79 @@ class TestEval:
         (tmp_path / "b.json").write_text(json.dumps(a))
         assert run("eval", "--truth", str(tmp_path / "a.json"), "--pred", str(tmp_path / "b.json")) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "membership, k",
+        [
+            ([0, 2, 2], 2),  # label 1 unused
+            ([0, 1, 10**12], 2),
+            ([0, 1, 2**70], 2),
+            ([0, 1.0, 1], 2),
+            ([0, -1, 1], 2),
+            ([False, True, True], 2),
+            ([0, "1", 1], 2),
+            ([0, None, 1], 2),
+            ([[0], [1], [1]], 2),
+            ([0, 1.5, 1], 2),
+            ([0, 1], 2),
+            ([], 2),
+            ([0, 1, 1], 3),
+            ("011", 2),
+        ],
+        ids=["unused-label", "10**12", "2**70", "1.0", "negative", "bool", "string", "null", "nested",
+             "1.5", "short", "empty", "k-mismatch", "not-array"],
+    )
+    def test_malformed_membership_is_data_error(self, tmp_path, capsys, membership, k):
+        omega = [[0.5, 0.1], [0.1, 0.5]]
+        truth = {"n": 3, "levels": [{"k": 2, "membership": [0, 1, 1], "omega": omega}],
+                 "omega_fine": omega}
+        pred = {"n": 3, "levels": [{"k": k, "membership": membership, "omega": omega}]}
+        (tmp_path / "t.json").write_text(json.dumps(truth))
+        (tmp_path / "p.json").write_text(json.dumps(pred))
+        code = run("eval", "--truth", str(tmp_path / "t.json"), "--pred", str(tmp_path / "p.json"))
+        assert code == EXIT_DATA
+        assert "$.levels[0].membership" in capsys.readouterr().err
+
+    def test_deeply_nested_document_is_data_error(self, tmp_path, capsys):
+        truth = {"n": 1, "levels": [{"k": 1, "membership": [0], "omega": [[0.5]]}],
+                 "omega_fine": [[0.5]]}
+        (tmp_path / "t.json").write_text(json.dumps(truth))
+        depth = 100_000
+        (tmp_path / "p.json").write_text(
+            '{"n": 1, "levels": [{"k": 1, "omega": [[0.5]], "membership": '
+            + "[" * depth + "]" * depth + "}]}"
+        )
+        code = run("eval", "--truth", str(tmp_path / "t.json"), "--pred", str(tmp_path / "p.json"))
+        assert code == EXIT_DATA
+        assert "invalid JSON" in capsys.readouterr().err
+
+
+class TestCountOptions:
+    FLAT = ["--model", "flat", "--n", "80", "--schedule", "8", "--avg-degree", "10",
+            "--snr-range", "6:6:1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--z", "0"],
+            ["detect", "--restarts", "0"],
+            ["benchmark", *FLAT, "--z", "0"],
+            ["benchmark", *FLAT, "--restarts", "0"],
+            ["benchmark", *FLAT, "--reps", "0"],
+        ],
+    )
+    def test_zero_count_is_usage_error(self, flat_files, tmp_path, argv):
+        edges, _ = flat_files
+        extra = ["--edges", str(edges)] if argv[0] == "detect" else []
+        out = tmp_path / "out"
+        assert run(*argv, *extra, "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_non_integer_workers_is_usage_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HIERSPECT_WORKERS", "two")
+        out = tmp_path / "r.csv"
+        assert run("benchmark", *self.FLAT, "--z", "5", "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_flat_sweep(self, tmp_path):
