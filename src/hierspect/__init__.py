@@ -25,10 +25,8 @@ from .graph import (
     coarse_affinity_update,
     estimate_affinity,
     is_exact_eep,
-    laplacian,
     quotient,
     read_edge_list,
-    uniform_random_walk,
     write_edge_list,
 )
 from .hierarchy import (
@@ -109,7 +107,6 @@ __all__ = [
     "infer_hierarchy",
     "is_exact_eep",
     "kmeans",
-    "laplacian",
     "projection_error",
     "quotient",
     "read_edge_list",
@@ -118,6 +115,5 @@ __all__ = [
     "score_matrix",
     "solve_planted_params",
     "structural_eigenvectors",
-    "uniform_random_walk",
     "write_edge_list",
 ]

@@ -1,9 +1,8 @@
 """Sparse symmetric graphs and the partition algebra built on them.
 
 Provides the graph container plus the operations everything else is built
-from: combinatorial Laplacian, uniform random-walk matrix, aggregated and
-quotient graphs, external-equitability checks, and group-affinity
-estimation.
+from: aggregated and quotient graphs, external-equitability checks, and
+group-affinity estimation.
 
 Conventions
 -----------
@@ -22,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateGraphError, EdgeListError
+from .errors import EdgeListError
 
 __all__ = [
     "Graph",
     "Partition",
     "AffinityMatrix",
     "QuotientGraph",
-    "laplacian",
-    "uniform_random_walk",
     "aggregate",
     "quotient",
     "is_exact_eep",
@@ -268,24 +265,6 @@ class Graph:
     @property
     def max_degree(self) -> float:
         return float(self.degrees.max()) if self.n else 0.0
-
-
-def laplacian(graph: Graph) -> sp.csr_matrix:
-    """Combinatorial Laplacian ``L = D - A``; rows sum to zero."""
-    return (sp.diags(graph.degrees) - graph.adjacency).tocsr()
-
-
-def uniform_random_walk(graph: Graph) -> sp.csr_matrix:
-    """Symmetric doubly-stochastic walk matrix ``W = I - L / d_max``.
-
-    Shares eigenvectors with the Laplacian; eigenvalues lie in [-1, 1]
-    with the constant vector at eigenvalue 1.
-    """
-    d_max = graph.max_degree
-    if d_max <= 0:
-        raise DegenerateGraphError("graph has no edges (max degree is zero)")
-    shift = sp.diags((d_max - graph.degrees) / d_max)
-    return (graph.adjacency / d_max + shift).tocsr()
 
 
 def _check_partition(graph: Graph, partition: Partition) -> None:

@@ -7,6 +7,12 @@ removing group-wise means.  It is zero exactly when every column of ``V``
 is constant within each group.  Minimizing it over partitions with ``k``
 groups is the same problem as k-means on the rows of ``V``, which is how
 ``best_eep_partition`` searches for approximately equitable partitions.
+
+``kmeans`` advances its restarts in lockstep, as (restarts, points, ...)
+arrays, in blocks bounded by ``BUDGET`` elements.  Every restart keeps its
+own random substream and draws from it in the same order as when run
+alone, and every per-restart reduction keeps its order, so the result is
+bit-for-bit the one of running the restarts one at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ __all__ = ["projection_error", "kmeans", "best_eep_partition", "KMeansResult"]
 
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
+# Element budget of the largest (restarts, points, columns) array of a block.
+BUDGET = 2**16
 
 
 def projection_error(partition: Partition, vectors: np.ndarray) -> float:
@@ -53,40 +61,63 @@ def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
     return mapping[dense]
 
 
-def _pairwise_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_dist(norms: np.ndarray, twice: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances of every point to each restart's centers, (R, m, c).
+
+    ``norms`` and ``twice`` are the points' squared row norms and the points
+    doubled; each restart's slice is the same 2-D matrix product as for a
+    single restart, so the batch is bit-equal to per-restart evaluation.
+    """
     d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
+        norms[:, None]
+        - twice @ centers.transpose(0, 2, 1)
+        + np.sum(centers * centers, axis=2)[:, None, :]
     )
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _init_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy distance-weighted (k-means++ style) center seeding.
+def _seed_block(
+    points: np.ndarray,
+    norms: np.ndarray,
+    twice: np.ndarray,
+    k: int,
+    trials: int,
+    rngs: list[np.random.Generator],
+) -> np.ndarray:
+    """Greedy distance-weighted (k-means++ style) seeding of a block of restarts.
 
     Each step samples a few distance-weighted candidates and keeps the one
     that reduces the seeding potential most; this matters when k is large
-    relative to the number of distinct point locations.
+    relative to the number of distinct point locations.  Every restart
+    draws from its own generator in a fixed order; the weighted draw is
+    ``Generator.choice``'s inverse-CDF sampling written out, so it consumes
+    and returns exactly what ``choice(m, trials, p=d2 / d2.sum())`` would.
     """
     m = points.shape[0]
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(m)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    first = points[[rng.integers(m) for rng in rngs]]
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = first
+    # one restart at a time: this sum's order follows the input's layout
+    d2 = np.stack([np.sum((points - c) ** 2, axis=1) for c in first])
+    rows = np.arange(len(rngs))
+    candidates = np.empty((len(rngs), trials), dtype=np.int64)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            candidates = rng.integers(m, size=1)
-        else:
-            candidates = rng.choice(m, size=trials, p=d2 / total)
-        cand_d2 = np.minimum(
-            d2[:, None], _pairwise_sq_dist(points, points[candidates])
-        )
-        best = int(np.argmin(cand_d2.sum(axis=0)))
-        centers[j] = points[candidates[best]]
-        d2 = cand_d2[:, best]
+        total = d2.sum(axis=1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # rows with zero potential turn to NaN here and are not read
+            cdf = np.cumsum(d2 / total[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+        for i, rng in enumerate(rngs):
+            if total[i] <= 0.0:
+                # one uniform draw; equal columns keep the first under argmin
+                candidates[i] = rng.integers(m, size=1)
+            else:
+                candidates[i] = np.searchsorted(cdf[i], rng.random(trials), side="right")
+        cand_d2 = np.minimum(d2[:, :, None], _sq_dist(norms, twice, points[candidates]))
+        best = np.argmin(cand_d2.sum(axis=1), axis=1)
+        centers[:, j] = points[candidates[rows, best]]
+        d2 = cand_d2[rows, :, best]
     return centers
 
 
@@ -99,33 +130,53 @@ def _wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
     return float(np.sum(residual * residual))
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> None:
+    """Hand each empty cluster the point farthest from its current center,
+    taken from a cluster with spare members (in place, one restart)."""
+    assigned_d2 = d2[np.arange(labels.size), labels]
+    for j in np.flatnonzero(counts == 0):
+        candidates = np.flatnonzero(counts[labels] > 1)
+        idx = candidates[np.argmax(assigned_d2[candidates])]
+        counts[labels[idx]] -= 1
+        labels[idx] = j
+        counts[j] = 1
+        assigned_d2[idx] = 0.0
+
+
+def _block_counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """Cluster sizes of each restart's labels, (R, k)."""
+    offsets = k * np.arange(labels.shape[0])[:, None]
+    counts = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * k)
+    return counts.reshape(-1, k)
+
+
+def _lloyd_block(
+    points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """Lloyd iterations for a block of restarts; a restart leaves the batch
+    as soon as its labels stop changing.  Returns labels, (R, m)."""
+    n_restarts, k, _ = centers.shape
     m = points.shape[0]
-    centers = _init_plus_plus(points, k, rng)
-    labels = np.full(m, -1, dtype=np.int64)
+    result = np.empty((n_restarts, m), dtype=np.int64)
+    active = np.arange(n_restarts)
+    labels = np.full((n_restarts, m), -1, dtype=np.int64)
     for _ in range(MAX_ITER):
-        d2 = _pairwise_sq_dist(points, centers)
-        new_labels = np.argmin(d2, axis=1)
-        counts = np.bincount(new_labels, minlength=k)
-        # Empty-cluster repair: hand each empty cluster the point farthest
-        # from its current center, taken from a cluster with spare members.
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            assigned_d2 = d2[np.arange(m), new_labels].copy()
-            for j in empties:
-                candidates = np.flatnonzero(counts[new_labels] > 1)
-                idx = candidates[np.argmax(assigned_d2[candidates])]
-                counts[new_labels[idx]] -= 1
-                new_labels[idx] = j
-                counts[j] = 1
-                assigned_d2[idx] = 0.0
-        if np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        sums = np.zeros((k, points.shape[1]))
-        np.add.at(sums, labels, points)
-        centers = sums / np.bincount(labels, minlength=k)[:, None]
-    return labels
+        d2 = _sq_dist(norms, twice, centers)
+        new_labels = np.argmin(d2, axis=2)
+        counts = _block_counts(new_labels, k)
+        for i in np.flatnonzero((counts == 0).any(axis=1)):
+            _repair_empty(new_labels[i], counts[i], d2[i])
+        done = (new_labels == labels).all(axis=1)
+        result[active[done]] = new_labels[done]
+        active, labels = active[~done], new_labels[~done]
+        if not active.size:
+            return result
+        # per-cell sums accumulate in point order, as for a single restart
+        sums = np.zeros((active.size, k, points.shape[1]))
+        np.add.at(sums, (np.arange(active.size)[:, None], labels), points)
+        centers = sums / _block_counts(labels, k)[:, :, None]
+    result[active] = labels
+    return result
 
 
 def kmeans(
@@ -138,7 +189,10 @@ def kmeans(
 
     Deterministic for a fixed seed: each restart draws from its own
     substream, and equal-objective ties break toward the lexicographically
-    smallest (first-occurrence-relabeled) assignment.
+    smallest (first-occurrence-relabeled) assignment.  Restarts run in
+    lockstep, in blocks of at most ``BUDGET`` elements of the largest
+    (restarts, points, columns) array; the result is bit-equal to running
+    each restart on its own, whatever the block size.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = points.shape[0]
@@ -146,16 +200,25 @@ def kmeans(
         raise ValueError(f"k={k} must be between 1 and the number of points {m}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    norms = np.sum(points * points, axis=1)
+    twice = 2.0 * points
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    block = max(1, BUDGET // (m * max(k, trials)))
     best_labels = None
     best_obj = np.inf
     best_key = None
-    for ridx in range(restarts):
-        labels = _lloyd(points, k, substream(seed, "kmeans", ridx))
-        labels = _relabel_first_occurrence(labels)
-        obj = _wcss(points, labels, k)
-        key = tuple(labels.tolist())
-        if obj < best_obj or (obj == best_obj and key < best_key):
-            best_labels, best_obj, best_key = labels, obj, key
+    for start in range(0, restarts, block):
+        rngs = [
+            substream(seed, "kmeans", ridx)
+            for ridx in range(start, min(start + block, restarts))
+        ]
+        centers = _seed_block(points, norms, twice, k, trials, rngs)
+        for labels in _lloyd_block(points, norms, twice, centers):
+            labels = _relabel_first_occurrence(labels)
+            obj = _wcss(points, labels, k)
+            key = tuple(labels.tolist())
+            if obj < best_obj or (obj == best_obj and key < best_key):
+                best_labels, best_obj, best_key = labels, obj, key
     return KMeansResult(partition=Partition.from_labels(best_labels), objective=best_obj)
 
 

@@ -140,17 +140,20 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
 
     Requests smallest-algebraic eigenpairs in doubling batches until a
     strictly positive eigenvalue shows up or the cap is reached, which
-    avoids a full decomposition on large graphs.
+    avoids a full decomposition on large graphs.  Up to the dense cutoff
+    every request is a full decomposition anyway, so the first request
+    asks for the cap and the matrix is decomposed once.
     """
     n = matrix.shape[0]
     tau = COUNT_TOL_FACTOR * float(np.abs(matrix.diagonal()).max())
     cap = min(n, COUNT_CAP)
-    m = min(8, cap)
+    m = cap if n <= _DENSE_CUTOFF else min(8, cap)
     while True:
         res = eigs_symmetric(matrix, m, seed=seed)
         count = int(np.sum(res.eigenvalues <= tau))
         if count < m or m >= cap:
-            return count, res.eigenvectors[:, :count]
+            # copy, so the columns past the count are freed
+            return count, res.eigenvectors[:, :count].copy()
         m = min(2 * m, cap)
 
 

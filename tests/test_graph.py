@@ -12,13 +12,11 @@ from hierspect import (
     coarse_affinity_update,
     estimate_affinity,
     is_exact_eep,
-    laplacian,
     quotient,
     read_edge_list,
-    uniform_random_walk,
     write_edge_list,
 )
-from hierspect.errors import DegenerateGraphError, EdgeListError
+from hierspect.errors import EdgeListError
 from hierspect.graph import relative_partition
 
 from conftest import random_graph
@@ -93,54 +91,32 @@ class TestPartition:
             relative_partition(fine, crossing)
 
 
+def laplacian(graph):
+    """Dense combinatorial Laplacian ``D - A``."""
+    return np.diag(graph.degrees) - graph.adjacency.toarray()
+
+
 class TestLaplacian:
     def test_complete_graph_eigenvalues(self, k3):
-        evals = np.linalg.eigvalsh(laplacian(k3).toarray())
+        evals = np.linalg.eigvalsh(laplacian(k3))
         np.testing.assert_allclose(evals, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_empty_graph(self):
         g = Graph.from_edges([], n=4)
-        assert laplacian(g).nnz == 0
+        assert not laplacian(g).any()
 
     def test_self_loop_leaves_laplacian_unchanged(self):
         g1 = Graph.from_edges([(0, 1), (1, 2)])
         g2 = Graph.from_edges([(0, 1), (1, 2), (1, 1, 3.0)])
         np.testing.assert_allclose(
-            laplacian(g1).toarray(), laplacian(g2).toarray(), atol=0
+            laplacian(g1), laplacian(g2), atol=0
         )
 
     def test_row_sums_zero(self):
         rng = np.random.default_rng(0)
         g = random_graph(rng, 20, weighted=True)
-        rows = laplacian(g).toarray().sum(axis=1)
+        rows = laplacian(g).sum(axis=1)
         np.testing.assert_allclose(rows, 0.0, atol=1e-12)
-
-
-class TestUniformRandomWalk:
-    def test_k3_eigenvalues(self, k3):
-        evals = np.linalg.eigvalsh(uniform_random_walk(k3).toarray())
-        np.testing.assert_allclose(np.sort(evals), [-0.5, -0.5, 1.0], atol=1e-12)
-
-    def test_rows_sum_to_one_with_constant_eigenvector(self):
-        rng = np.random.default_rng(1)
-        g = random_graph(rng, 15, weighted=True)
-        w = uniform_random_walk(g).toarray()
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        assert w.min() >= 0.0
-
-    def test_shares_eigenvectors_with_laplacian(self):
-        rng = np.random.default_rng(2)
-        g = random_graph(rng, 12, weighted=True)
-        lap = laplacian(g).toarray()
-        walk = uniform_random_walk(g).toarray()
-        lam, vecs = np.linalg.eigh(lap)
-        d_max = g.max_degree
-        # same eigenvectors, affinely mapped eigenvalues, reversed order
-        np.testing.assert_allclose(walk @ vecs, vecs * (1.0 - lam / d_max), atol=1e-10)
-
-    def test_degenerate_graph_rejected(self):
-        with pytest.raises(DegenerateGraphError):
-            uniform_random_walk(Graph.from_edges([], n=3))
 
 
 class TestAggregateQuotient:

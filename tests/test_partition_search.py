@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hierspect.partition_search as ps
 from hierspect import Partition, best_eep_partition, kmeans, projection_error
+from hierspect.rng import substream
 
 
 def brute_force_min_projection_error(vectors, k):
@@ -133,6 +135,141 @@ class TestKMeans:
         assert res.partition.assignment[0] == 0
         firsts = [np.flatnonzero(res.partition.assignment == g)[0] for g in range(3)]
         assert firsts == sorted(firsts)
+
+
+def _reference_sq_dist(points, centers):
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def _reference_init_plus_plus(points, k, rng):
+    m = points.shape[0]
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(m)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            candidates = rng.integers(m, size=1)
+        else:
+            candidates = rng.choice(m, size=trials, p=d2 / total)
+        cand_d2 = np.minimum(d2[:, None], _reference_sq_dist(points, points[candidates]))
+        best = int(np.argmin(cand_d2.sum(axis=0)))
+        centers[j] = points[candidates[best]]
+        d2 = cand_d2[:, best]
+    return centers
+
+
+def _reference_lloyd(points, k, rng):
+    m = points.shape[0]
+    centers = _reference_init_plus_plus(points, k, rng)
+    labels = np.full(m, -1, dtype=np.int64)
+    for _ in range(ps.MAX_ITER):
+        d2 = _reference_sq_dist(points, centers)
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            assigned_d2 = d2[np.arange(m), new_labels].copy()
+            for j in empties:
+                candidates = np.flatnonzero(counts[new_labels] > 1)
+                idx = candidates[np.argmax(assigned_d2[candidates])]
+                counts[new_labels[idx]] -= 1
+                new_labels[idx] = j
+                counts[j] = 1
+                assigned_d2[idx] = 0.0
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        sums = np.zeros((k, points.shape[1]))
+        np.add.at(sums, labels, points)
+        centers = sums / np.bincount(labels, minlength=k)[:, None]
+    return labels
+
+
+def reference_kmeans(points, k, restarts, seed, stream=substream):
+    """One restart at a time, with ``Generator.choice`` seeding."""
+    best_labels, best_obj, best_key = None, np.inf, None
+    for ridx in range(restarts):
+        labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
+        labels = ps._relabel_first_occurrence(labels)
+        obj = ps._wcss(points, labels, k)
+        key = tuple(labels.tolist())
+        if obj < best_obj or (obj == best_obj and key < best_key):
+            best_labels, best_obj, best_key = labels, obj, key
+    return best_labels, best_obj
+
+
+def _reference_cases():
+    rng = np.random.default_rng(20)
+    for case in range(120):
+        m = int(rng.integers(1, 60))
+        d = int(rng.integers(1, 6))
+        layout = case % 4
+        if layout == 0:
+            points = rng.standard_normal((m, d))
+        elif layout == 1:
+            # few distinct locations: duplicate points and zero potential
+            points = rng.integers(0, 3, (m, d)).astype(np.float64)
+        elif layout == 2:
+            points = np.asfortranarray(rng.standard_normal((m, d)))
+        else:
+            points = rng.standard_normal((m, d + 2))[:, :d]
+        k = (1, m, int(rng.integers(1, m + 1)))[case % 3]
+        restarts = case % 11 + 1
+        yield points, k, restarts, case
+
+
+class _CoarseGenerator(np.random.Generator):
+    """Uniforms on a grid of eighths, so that inverse-CDF draws land exactly
+    on CDF steps and the side of every tie is exercised."""
+
+    def random(self, size=None):
+        return np.floor(super().random(size) * 8.0) / 8.0
+
+
+def _coarse_substream(seed, *tokens):
+    return _CoarseGenerator(substream(seed, *tokens).bit_generator)
+
+
+class TestBatchedRestarts:
+    """Batched restarts equal one-restart-at-a-time runs bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(points, k, restarts, seed, stream=substream):
+        res = kmeans(points, k, restarts=restarts, seed=seed)
+        labels, obj = reference_kmeans(points, k, restarts, seed, stream=stream)
+        assert res.partition.assignment.tobytes() == labels.tobytes()
+        assert res.objective == obj
+
+    def test_grid(self):
+        for points, k, restarts, seed in _reference_cases():
+            self.assert_matches_reference(points, k, restarts, seed)
+
+    def test_grid_with_tied_uniforms(self, monkeypatch):
+        monkeypatch.setattr(ps, "substream", _coarse_substream)
+        for points, k, restarts, seed in _reference_cases():
+            self.assert_matches_reference(
+                points, k, restarts, seed, stream=_coarse_substream
+            )
+
+    @pytest.mark.parametrize(
+        "m, k, restarts, block",
+        [(64, 40, 10, 10), (1000, 16, 7, 4), (2100, 16, 3, 1)],
+    )
+    def test_block_sizes(self, m, k, restarts, block):
+        # all restarts in one block; blocks of four then three; one per block
+        assert min(restarts, ps.BUDGET // (m * k)) == block
+        rng = np.random.default_rng(m)
+        centers = rng.standard_normal((k, 3)) * 4.0
+        points = centers[rng.integers(k, size=m)] + rng.standard_normal((m, 3))
+        self.assert_matches_reference(points, k, restarts, seed=m + k)
 
 
 class TestDuality:

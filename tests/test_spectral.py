@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+
+import hierspect.spectral as spectral
 
 from hierspect import (
     Graph,
@@ -11,7 +14,6 @@ from hierspect import (
     bethe_hessian,
     cluster_bethe_hessian,
     eigs_symmetric,
-    laplacian,
 )
 from hierspect.errors import DegenerateGraphError
 
@@ -24,7 +26,7 @@ class TestEigsSymmetric:
         np.testing.assert_allclose(res.eigenvalues, [1.0, 1.0, 1.0])
 
     def test_laplacian_k3(self, k3):
-        res = eigs_symmetric(laplacian(k3).toarray(), 3)
+        res = eigs_symmetric(np.diag(k3.degrees) - k3.adjacency.toarray(), 3)
         np.testing.assert_allclose(res.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_diagonal_smallest(self):
@@ -73,7 +75,7 @@ class TestBetheHessian:
     def test_r_one_recovers_laplacian(self, k4):
         op = bethe_hessian(k4, 1.0)
         np.testing.assert_allclose(
-            op.matrix.toarray(), laplacian(k4).toarray(), atol=0
+            op.matrix.toarray(), np.diag(k4.degrees) - k4.adjacency.toarray(), atol=0
         )
 
     def test_single_edge_r_two(self):
@@ -114,9 +116,9 @@ class TestClusterBetheHessian:
 
     def test_r_one_counts_connected_components(self):
         g = Graph.from_edges([(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)])
-        lap = laplacian(g)
-        tau = 1e-10 * np.abs(lap.diagonal()).max()
-        evals = np.linalg.eigvalsh(lap.toarray())
+        lap = np.diag(g.degrees) - g.adjacency.toarray()
+        tau = 1e-10 * np.abs(np.diag(lap)).max()
+        evals = np.linalg.eigvalsh(lap)
         assert int(np.sum(evals <= tau)) == 3
 
     def test_permutation_invariance_of_count(self, two_cliques):
@@ -161,3 +163,46 @@ class TestClusterBetheHessian:
         res = cluster_bethe_hessian(g, seed=6)
         assert res.k_hat == 3
         assert ami(res.partition, truth) > 0.85
+
+
+class TestDenseCount:
+    """Up to the dense cutoff each sign is decomposed once."""
+
+    @pytest.fixture
+    def twelve_k5(self):
+        # B_2 = 7I - 2A has eigenvalue -1 once per K5: twelve non-positive
+        # eigenvalues, more than the first doubling step of eight
+        edges = [
+            (5 * c + i, 5 * c + j)
+            for c in range(12)
+            for i in range(5)
+            for j in range(i + 1, 5)
+        ]
+        return Graph.from_edges(edges)
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        requests = []
+
+        def eigs_spy(matrix, m, seed=0):
+            requests.append(m)
+            return eigs_symmetric(matrix, m, seed=seed)
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
+        return requests
+
+    def test_one_decomposition_per_sign(self, twelve_k5, spy):
+        res = cluster_bethe_hessian(twelve_k5, seed=3)
+        assert (res.k_plus, res.k_minus) == (12, 0)
+        # the cap is min(n, COUNT_CAP) = n here; the doubling loop made
+        # three requests (8 and 16 for +r, 8 for -r)
+        assert spy == [twelve_k5.n, twelve_k5.n]
+
+    def test_count_and_vectors_match_full_eigh(self, twelve_k5, spy):
+        op = bethe_hessian(twelve_k5, 2.0).matrix
+        count, vectors = spectral._count_nonpositive(op, seed=4)
+        assert spy == [twelve_k5.n]
+        values, full = scipy.linalg.eigh(op.toarray())
+        tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
+        assert count == int(np.sum(values <= tau)) == 12
+        np.testing.assert_array_equal(vectors, full[:, :count])
