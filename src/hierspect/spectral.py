@@ -42,6 +42,14 @@ COUNT_CAP = 256
 # Below this size a full dense decomposition beats iterative solves.
 _DENSE_CUTOFF = 1024
 
+# ARPACK tolerance of the probes that count non-positive eigenvalues on
+# the sparse path.  ARPACK accepts a Ritz value theta once its residual is
+# at most tol * max(|theta|, eps^(2/3)), and a symmetric matrix has an
+# eigenvalue within that residual of theta, so with tol < 1 every probe
+# value has the sign of a true eigenvalue: the count needs no tighter
+# solve.  Only the eigenvectors of the counted pairs are solved tightly.
+COUNT_PROBE_TOL = 1e-2
+
 
 @dataclass(frozen=True)
 class EigsResult:
@@ -85,11 +93,16 @@ def _residual_norms(matrix, eigenvalues, eigenvectors) -> np.ndarray:
     return np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
 
 
-def eigs_symmetric(matrix, m: int, seed: int = 0) -> EigsResult:
+def eigs_symmetric(matrix, m: int, seed: int = 0, *, tol: float = 0.0) -> EigsResult:
     """Compute the ``m`` smallest-algebraic eigenpairs of a symmetric matrix.
 
     Sparse inputs above the dense cutoff use ARPACK with a seeded starting
-    vector, so results are deterministic for a fixed seed.
+    vector, so results are deterministic for a fixed seed.  ``tol`` is
+    ARPACK's relative accuracy (0 means machine precision): each returned
+    value theta has residual ``||M v - theta v|| <= tol * |theta|`` (with
+    ``|theta|`` floored at eps^(2/3)), so for ``tol < 1`` some eigenvalue
+    lies that close to theta and has its sign.  The dense branch ignores
+    ``tol`` and is always exact.
 
     Raises
     ------
@@ -112,7 +125,7 @@ def eigs_symmetric(matrix, m: int, seed: int = 0) -> EigsResult:
 
     v0 = substream(seed, "eigs-start").standard_normal(n)
     try:
-        values, vectors = eigsh(matrix, k=m, which="SA", v0=v0)
+        values, vectors = eigsh(matrix, k=m, which="SA", v0=v0, tol=tol)
     except ArpackNoConvergence as exc:
         residuals = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -138,23 +151,52 @@ def bethe_hessian(graph: Graph, r: float) -> BetheHessian:
 def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarray]:
     """Count eigenvalues <= 0 (within tolerance) and return their eigenvectors.
 
-    Requests smallest-algebraic eigenpairs in doubling batches until a
-    strictly positive eigenvalue shows up or the cap is reached, which
-    avoids a full decomposition on large graphs.  Up to the dense cutoff
-    every request is a full decomposition anyway, so the first request
-    asks for the cap and the matrix is decomposed once.
+    Up to the dense cutoff the matrix is decomposed once, for the cap, and
+    the count and vectors are read off that decomposition.
+
+    Above it the work has two phases.  The count phase requests
+    smallest-algebraic eigenvalues in doubling batches, at the loose
+    tolerance ``COUNT_PROBE_TOL``, until a strictly positive one shows up
+    or the cap is reached; the loose probes have the signs of true
+    eigenvalues, so the count is the one a tight solve would give.  The
+    vector phase then solves for exactly ``count`` pairs at full accuracy,
+    which converges fast because the count-th and next eigenvalues are far
+    apart.
+
+    Raises
+    ------
+    SolverError
+        If an eigenvalue of the vector phase lies above the tolerance,
+        that is, the two phases disagree on the count; carries the
+        residual norms of the vector phase.
     """
     n = matrix.shape[0]
     tau = COUNT_TOL_FACTOR * float(np.abs(matrix.diagonal()).max())
     cap = min(n, COUNT_CAP)
-    m = cap if n <= _DENSE_CUTOFF else min(8, cap)
-    while True:
-        res = eigs_symmetric(matrix, m, seed=seed)
+    if n <= _DENSE_CUTOFF:
+        res = eigs_symmetric(matrix, cap, seed=seed)
         count = int(np.sum(res.eigenvalues <= tau))
+        # copy, so the columns past the count are freed
+        return count, res.eigenvectors[:, :count].copy()
+
+    m = min(8, cap)
+    while True:
+        probe = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL).eigenvalues
+        count = int(np.sum(probe <= tau))
         if count < m or m >= cap:
-            # copy, so the columns past the count are freed
-            return count, res.eigenvectors[:, :count].copy()
+            break
         m = min(2 * m, cap)
+    if count == 0:
+        return 0, np.empty((n, 0))
+    res = eigs_symmetric(matrix, count, seed=seed)
+    if res.eigenvalues[-1] > tau:
+        raise SolverError(
+            f"eigenvalue count disagrees: {count} non-positive at tolerance "
+            f"{COUNT_PROBE_TOL}, largest of the {count} accurate ones is "
+            f"{res.eigenvalues[-1]:.3g}",
+            residual_norms=_residual_norms(matrix, res.eigenvalues, res.eigenvectors),
+        )
+    return count, res.eigenvectors
 
 
 def cluster_bethe_hessian(

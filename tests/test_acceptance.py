@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines and timings.  Two checks are known to encode targets beyond the
-method's statistical resolution at their stated problem sizes and fail with
-diagnostic detail rather than being loosened; the companion shadow test
-shows the same protocol succeeding one size up.
+lines and timings.  Two checks (criteria 2 and 4) fail at present and are
+kept as stated rather than loosened; their docstrings give what was
+measured on their fixtures.  The companion shadow test runs criterion 2's
+protocol one size up, where it passes.
 """
 
 import itertools
@@ -82,12 +82,16 @@ def test_criterion_1_flat_control():
 def test_criterion_2_symmetric_hierarchy():
     """Three-level recovery at n=3^7, degree 20, SNR 10.
 
-    Known shortfall: with 27 groups of 81 nodes at degree 20, the sampling
-    noise of the estimated group-affinity matrix is as large as the
-    eigenvalue gap protecting the 9-group level, so its eigenvectors are
-    scrambled before any perturbation is applied and the middle level is
-    statistically invisible.  The same protocol passes one size up (see the
-    shadow test below).
+    Known shortfall, measured on this fixture: every seed gives levels
+    (27, 3).  The finest level is right (AMI >= 0.999), and the r=9
+    candidate of the first merge step is the planted 9-group partition in
+    7 of 10 seeds (AMI 1.000; 0.914-0.955 in the other three), so the
+    middle level is not lost in the candidates.  The statistic misses it:
+    walk-matrix eigenvalues 9 and 10 lie within 0.02 of each other (|lambda|
+    0.639-0.657 and 0.624-0.642), so perturbations can swap the two
+    eigenvectors, and the mean projection error at r=9 (2.06-2.56) stays
+    close to r=10's (2.36-2.72) instead of forming a minimum.  The same
+    protocol passes one size up (see the shadow test below).
     """
     start = time.time()
     successes = 0
@@ -177,10 +181,16 @@ def test_criterion_3_assortative_hierarchy():
 def test_criterion_4_disassortative_recovery():
     """Column-reversed hierarchy: finest level at SNR 8, coarsest from SNR 4.
 
-    Known shortfall at SNR=4: the finest-level spectral clustering itself
-    tops out near AMI 0.75 at n=2^12 / degree 30 (an oracle merge of its
-    groups reaches only 0.78), so the coarsest-level bar of 0.8 is above
-    the information available at this size; at SNR>=5 it clears 0.8.
+    Known shortfall at SNR=4, measured on this fixture: mean finest AMI
+    0.754, mean coarsest 0.745.  A majority-vote (oracle) merge of the
+    detected finest groups onto the planted two groups gives 0.784, and the
+    detected coarsest level scores the same as that merge in 9 of 10
+    seeds; seed 7 accepts no coarse level (levels (8,), coarsest AMI
+    0.393).  So the bar is missed by the finest-level assignment and one
+    rejected merge, not because 0.8 is above the information in the graph:
+    a node-wise likelihood refinement of the finest level, prototyped but
+    not merged, reached a mean coarsest AMI of 0.895 on the same graphs.
+    At SNR=8 the coarsest AMI is 0.990.
     """
     start = time.time()
     stats = {}

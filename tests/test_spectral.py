@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 import hierspect.spectral as spectral
 
@@ -15,7 +16,7 @@ from hierspect import (
     cluster_bethe_hessian,
     eigs_symmetric,
 )
-from hierspect.errors import DegenerateGraphError
+from hierspect.errors import DegenerateGraphError, SolverError
 
 from conftest import random_graph
 
@@ -41,6 +42,28 @@ class TestEigsSymmetric:
         res = eigs_symmetric(mat, 4, seed=7)
         dense = np.linalg.eigvalsh(mat.toarray())[:4]
         np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-8)
+
+    def test_sparse_loose_tolerance_keeps_signs(self, monkeypatch):
+        n = 1500
+        mat = sp.random(n, n, density=0.005, random_state=1)
+        mat = (mat + mat.T).tocsr()
+        dense = np.linalg.eigvalsh(mat.toarray())
+        tols = []
+
+        def eigsh_spy(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return scipy.sparse.linalg.eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
+        loose = eigs_symmetric(mat, 4, seed=7, tol=1e-2)
+        assert tols == [1e-2]
+        for theta in loose.eigenvalues:
+            nearest = dense[np.argmin(np.abs(dense - theta))]
+            assert abs(nearest - theta) <= 1e-2 * abs(theta)
+            assert np.sign(nearest) == np.sign(theta)
+        # the default tolerance is still machine precision
+        exact = eigs_symmetric(mat, 4, seed=7)
+        np.testing.assert_allclose(exact.eigenvalues, dense[:4], atol=1e-8)
 
     def test_residuals_and_orthonormality(self):
         rng = np.random.default_rng(1)
@@ -206,3 +229,93 @@ class TestDenseCount:
         tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
         assert count == int(np.sum(values <= tau)) == 12
         np.testing.assert_array_equal(vectors, full[:, :count])
+
+
+class TestSparseCount:
+    """Above the dense cutoff the count comes from loose-tolerance probes
+    and the vectors from one accurate solve of exactly ``count`` pairs."""
+
+    @pytest.fixture(scope="class")
+    def operators(self):
+        from hierspect import generate_planted_partition, solve_planted_params
+
+        alpha, beta = solve_planted_params(4, 20.0, 6.0)
+        g, _ = generate_planted_partition(1500, 4, alpha, beta, seed=8)
+        assert g.n > spectral._DENSE_CUTOFF
+        r = np.sqrt(g.total_weight / g.n)
+        ops = {}
+        for sign in (1.0, -1.0):
+            op = bethe_hessian(g, sign * r).matrix
+            tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
+            count = int(np.sum(np.linalg.eigvalsh(op.toarray()) <= tau))
+            ops[sign] = (op, count)
+        # the assortative graph has four groups at +r and none at -r
+        assert ops[1.0][1] == 4 and ops[-1.0][1] == 0
+        return ops
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def eigs_spy(matrix, m, seed=0, **kwargs):
+            calls.append((m, kwargs.get("tol", 0.0)))
+            return eigs_symmetric(matrix, m, seed=seed, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
+        return calls
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_count_matches_dense(self, operators, sign):
+        op, dense_count = operators[sign]
+        count, vectors = spectral._count_nonpositive(op, seed=5)
+        assert count == dense_count
+        assert vectors.shape == (op.shape[0], count)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_vectors_span_dense_subspace(self, operators, sign):
+        op, dense_count = operators[sign]
+        count, vectors = spectral._count_nonpositive(op, seed=5)
+        reference = np.zeros((op.shape[0], 0))
+        if dense_count:
+            _, reference = scipy.linalg.eigh(
+                op.toarray(), subset_by_index=[0, dense_count - 1]
+            )
+        # the projectors onto the two spans agree to 1e-8
+        np.testing.assert_allclose(
+            vectors @ vectors.T, reference @ reference.T, rtol=0, atol=1e-8
+        )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_probes_loose_then_one_exact_solve(self, operators, spy, sign):
+        op, _ = operators[sign]
+        count, _ = spectral._count_nonpositive(op, seed=5)
+        if count:
+            # one accurate solve, for exactly the counted pairs
+            probes, solve = spy[:-1], spy[-1]
+            assert solve == (count, 0.0)
+        else:
+            # a count of 0 makes no vector solve at all
+            probes = spy
+        assert probes and all(tol == spectral.COUNT_PROBE_TOL for _, tol in probes)
+
+    def test_count_disagreement_raises(self, operators, monkeypatch):
+        op, dense_count = operators[1.0]
+        real = spectral.eigs_symmetric
+
+        def positive_last(matrix, m, seed=0, **kwargs):
+            res = real(matrix, m, seed=seed, **kwargs)
+            if kwargs.get("tol", 0.0) == 0.0:
+                values = res.eigenvalues.copy()
+                values[-1] = 1.0
+                res = spectral.EigsResult(values, res.eigenvectors)
+            return res
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", positive_last)
+        with pytest.raises(SolverError, match="count disagrees") as info:
+            spectral._count_nonpositive(op, seed=5)
+        residuals = info.value.residual_norms
+        assert residuals.shape == (dense_count,)
+        # the untouched pairs are accurate; the altered one is off by
+        # the distance of its true eigenvalue from 1
+        assert residuals[:-1].max() < 1e-8
+        assert residuals[-1] > 1.0
