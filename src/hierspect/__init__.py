@@ -35,20 +35,17 @@ from .hierarchy import (
     Level,
     LevelCandidates,
     MsleFit,
-    NullErrorCurve,
-    expected_error,
-    expected_error_conditional,
     find_relevant_minima,
     fit_msle,
     bootstrap_perturb_affinity,
     identify_partitions_and_errors,
     infer_hierarchy,
+    null_curve,
     structural_eigenvectors,
 )
 from .partition_search import best_eep_partition, kmeans, projection_error
 from .spectral import (
     BetheClustering,
-    BetheHessian,
     EigsResult,
     bethe_hessian,
     cluster_bethe_hessian,
@@ -68,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMatrix",
     "BetheClustering",
-    "BetheHessian",
     "DegenerateGraphError",
     "DetectionConfig",
     "EdgeListError",
@@ -81,7 +77,6 @@ __all__ = [
     "Level",
     "LevelCandidates",
     "MsleFit",
-    "NullErrorCurve",
     "Partition",
     "QuotientGraph",
     "SchemaError",
@@ -97,8 +92,6 @@ __all__ = [
     "coarse_affinity_update",
     "eigs_symmetric",
     "estimate_affinity",
-    "expected_error",
-    "expected_error_conditional",
     "find_relevant_minima",
     "fit_msle",
     "generate_hierarchical",
@@ -107,6 +100,7 @@ __all__ = [
     "infer_hierarchy",
     "is_exact_eep",
     "kmeans",
+    "null_curve",
     "projection_error",
     "quotient",
     "read_edge_list",

@@ -212,29 +212,22 @@ def _parse_snr_range(text: str) -> list[float]:
 
 def _benchmark_rep(task: dict) -> dict:
     """One benchmark repetition: generate, detect, score."""
-    spec = SynthSpec(
-        model=task["model"],
-        n=task["n"],
-        snr=task["snr"],
-        avg_degree=task["avg_degree"],
-        schedule=task["schedule"],
-        seed=task["seed"],
-    )
+    spec = task["spec"]
     row = {
-        "model": task["model"],
-        "snr": task["snr"],
+        "model": spec.model,
+        "snr": spec.snr,
         "rep": task["rep"],
-        "seed": task["seed"],
+        "seed": spec.seed,
         "status": "ok",
         "n_levels_inferred": "",
         "precision": "",
         "recall": "",
     }
-    for i in range(task["n_truth_levels"]):
+    for i in range(len(spec.schedule)):
         row[f"ami_level_{i + 1}"] = ""
     try:
         graph, truth = generate_hierarchical(spec)
-        result = infer_hierarchy(graph, config=task["config"], seed=task["seed"])
+        result = infer_hierarchy(graph, config=task["config"], seed=spec.seed)
         inferred = [level.composed_partition for level in result.levels]
         report = score_hierarchy(truth.partitions, inferred)
         row["n_levels_inferred"] = len(result.levels)
@@ -263,24 +256,22 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
     """Sweep SNR values with repetitions and write a CSV of scores."""
     schedule_t = _parse_schedule(schedule or DEFAULT_SCHEDULES[model])
     snr_values = _parse_snr_range(snr_range)
-    n_truth_levels = 1 if model == "flat" else len(schedule_t)
     config = DetectionConfig(z=z, kmeans_restarts=restarts)
     tasks = []
     for snr_idx, snr in enumerate(snr_values):
         for rep in range(reps):
-            tasks.append(
-                {
-                    "model": model,
-                    "n": n,
-                    "schedule": schedule_t,
-                    "avg_degree": avg_degree,
-                    "snr": snr,
-                    "rep": rep,
-                    "seed": substream_seed(seed, "benchmark", snr_idx, rep),
-                    "config": config,
-                    "n_truth_levels": n_truth_levels,
-                }
-            )
+            try:
+                spec = SynthSpec(
+                    model=model,
+                    n=n,
+                    snr=snr,
+                    avg_degree=avg_degree,
+                    schedule=schedule_t,
+                    seed=substream_seed(seed, "benchmark", snr_idx, rep),
+                )
+            except ValueError as exc:
+                raise click.UsageError(str(exc))
+            tasks.append({"spec": spec, "rep": rep, "config": config})
     try:
         workers = int(os.environ.get("HIERSPECT_WORKERS", "1"))
     except ValueError:
@@ -292,7 +283,7 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
         rows = []
         for i, task in enumerate(tasks):
             rows.append(_benchmark_rep(task))
-            _status(f"benchmark {i + 1}/{len(tasks)} done (snr={task['snr']:g})")
+            _status(f"benchmark {i + 1}/{len(tasks)} done (snr={task['spec'].snr:g})")
     fieldnames = [
         "model",
         "snr",
@@ -302,7 +293,7 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
         "n_levels_inferred",
         "precision",
         "recall",
-    ] + [f"ami_level_{i + 1}" for i in range(n_truth_levels)]
+    ] + [f"ami_level_{i + 1}" for i in range(len(schedule_t))]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

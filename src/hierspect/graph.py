@@ -159,7 +159,6 @@ class QuotientGraph:
 
     a_pi: np.ndarray
     l_pi: np.ndarray
-    group_sizes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -291,7 +290,7 @@ def quotient(graph: Graph, partition: Partition) -> QuotientGraph:
     a_pi = agg / partition.group_sizes[:, None]
     d_pi = a_pi.sum(axis=1)
     l_pi = np.diag(d_pi) - a_pi
-    return QuotientGraph(a_pi=a_pi, l_pi=l_pi, group_sizes=partition.group_sizes)
+    return QuotientGraph(a_pi=a_pi, l_pi=l_pi)
 
 
 def is_exact_eep(graph: Graph, partition: Partition, tol: float | None = None) -> bool:
@@ -340,8 +339,7 @@ def coarse_affinity_update(omega: AffinityMatrix, coarser: Partition) -> Affinit
             f"coarser partition covers {coarser.n} items, expected {omega.k} groups"
         )
     fine_sizes = omega.group_sizes.astype(np.float64)
-    h = np.zeros((omega.k, coarser.k))
-    h[np.arange(omega.k), coarser.assignment] = 1.0
+    h = coarser.indicator()
     weighted = fine_sizes[:, None] * omega.values * fine_sizes[None, :]
     agg = h.T @ weighted @ h
     coarse_sizes = np.zeros(coarser.k)

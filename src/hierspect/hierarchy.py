@@ -3,9 +3,10 @@
 Coarser levels are proposed by clustering the rows of random-walk
 eigenvectors of the current group-affinity matrix.  A proposed level count
 is accepted only if conditioning the analytic null curve of expected
-projection errors on it improves the fit to the observed (perturbation-
-averaged) error curve; this rejects degenerate hierarchies, whose
-eigenvectors scramble under small affinity perturbations.
+projection errors (``null_curve``) on it improves the MSLE fit
+(``fit_msle``) to the observed (perturbation-averaged) error curve; this
+rejects degenerate hierarchies, whose eigenvectors scramble under small
+affinity perturbations.  ``find_relevant_minima`` runs that selection.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .rng import substream, substream_seed
 from .spectral import BetheClustering, cluster_bethe_hessian
 
 __all__ = [
-    "expected_error",
-    "expected_error_conditional",
-    "NullErrorCurve",
+    "null_curve",
     "bootstrap_perturb_affinity",
     "structural_eigenvectors",
     "LevelCandidates",
@@ -51,57 +50,36 @@ SIGMA_TOL = 1e-8
 BOOTSTRAP_SCALE = float(np.sqrt(2.0))
 
 
-def expected_error(n: int, r: int) -> float:
-    """Expected projection error of a random orthonormal block: (n-r)(r-1)/(n-1).
+def null_curve(n: int, kappas=()) -> np.ndarray:
+    """Expected projection errors for r = 1..n, conditioned on known levels.
 
-    This is the mean squared residual of ``r`` random orthonormal columns
-    (the constant vector always included) after removing the group means of
-    an independent partition into ``r`` groups.  Vanishes at ``r = 1`` and
-    ``r = n``; the unconditioned case of ``expected_error_conditional``.
-    """
-    return expected_error_conditional(n, r)
-
-
-def expected_error_conditional(n: int, r: int, kappas=()) -> float:
-    """Expected projection error conditioned on known equitable levels.
+    Entry ``r - 1`` is the mean squared residual of ``r`` random
+    orthonormal columns (the constant vector always included) after
+    removing the group means of an independent partition into ``r``
+    groups.  Unconditioned it is ``(n - r)(r - 1)/(n - 1)``, which vanishes
+    at ``r = 1`` and ``r = n``.
 
     ``kappas`` are the accepted level sizes, strictly increasing within
-    ``1 < kappa < n``.  Within each segment between consecutive conditioning
-    points ``a < r < b`` the value is ``(b - r)(r - a)/(b - a)``; the curve
-    is continuous, non-negative and vanishes at 1, n and every kappa.
-    Reduces to the unconditional curve when ``kappas`` is empty.
+    ``1 < kappa < n``.  Within each segment between consecutive
+    conditioning points ``a < r < b`` the value is ``(b - r)(r - a)/(b - a)``;
+    the curve is continuous, non-negative and vanishes at 1, n and every
+    kappa.  The returned array is read-only.
     """
-    if not 1 <= r <= n:
-        raise ValueError(f"r={r} out of range 1..{n}")
-    return float(NullErrorCurve.build(n, kappas).values[r - 1])
-
-
-@dataclass(frozen=True)
-class NullErrorCurve:
-    """Expected projection errors for r = 1..n under given conditioning."""
-
-    n: int
-    conditioning: tuple
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, kappas=()) -> "NullErrorCurve":
-        """Evaluate ``expected_error_conditional`` at every r = 1..n."""
-        if n < 2:
-            raise ValueError("ambient dimension must be at least 2")
-        kappas = tuple(int(k) for k in kappas)
-        if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
-            raise ValueError("conditioning sizes must be strictly increasing")
-        if kappas and (kappas[0] <= 1 or kappas[-1] >= n):
-            raise ValueError("conditioning sizes must lie strictly between 1 and n")
-        knots = np.array((1, *kappas, n))
-        r = np.arange(1, n + 1)
-        # segment [lo, hi] holding each r; a knot maps to the segment it ends
-        seg = np.clip(np.searchsorted(knots, r), 1, len(knots) - 1)
-        lo, hi = knots[seg - 1], knots[seg]
-        values = (hi - r) * (r - lo) / (hi - lo)
-        values.setflags(write=False)
-        return cls(n=n, conditioning=kappas, values=values)
+    if n < 2:
+        raise ValueError("ambient dimension must be at least 2")
+    kappas = tuple(int(k) for k in kappas)
+    if any(k2 <= k1 for k1, k2 in zip(kappas, kappas[1:])):
+        raise ValueError("conditioning sizes must be strictly increasing")
+    if kappas and (kappas[0] <= 1 or kappas[-1] >= n):
+        raise ValueError("conditioning sizes must lie strictly between 1 and n")
+    knots = np.array((1, *kappas, n))
+    r = np.arange(1, n + 1)
+    # segment [lo, hi] holding each r; a knot maps to the segment it ends
+    seg = np.clip(np.searchsorted(knots, r), 1, len(knots) - 1)
+    lo, hi = knots[seg - 1], knots[seg]
+    values = (hi - r) * (r - lo) / (hi - lo)
+    values.setflags(write=False)
+    return values
 
 
 def bootstrap_perturb_affinity(omega: AffinityMatrix, seed: int = 0) -> AffinityMatrix:
@@ -237,16 +215,17 @@ def _msle(mean_errors: np.ndarray, null_values: np.ndarray, sigma: float) -> flo
     return float(np.mean(diff * diff))
 
 
-def fit_msle(mean_errors: np.ndarray, null_curve: NullErrorCurve) -> MsleFit:
+def fit_msle(mean_errors: np.ndarray, null_values: np.ndarray) -> MsleFit:
     """Fit the scale of a null error curve by minimizing the mean squared
-    logistic error between observed and scaled expected errors.
+    logarithmic error between observed and scaled expected errors.
 
-    Uses golden-section search on the bracket ``[1e-6, 1e2]``.  If the null
-    curve is identically zero the scale is unidentifiable and sigma = 1 is
-    returned with ``identifiable=False``.
+    ``null_values`` is a curve from ``null_curve`` of the same length as
+    ``mean_errors``.  Uses golden-section search on the bracket
+    ``[1e-6, 1e2]``.  If the null curve is identically zero the scale is
+    unidentifiable and sigma = 1 is returned with ``identifiable=False``.
     """
     mean_errors = np.asarray(mean_errors, dtype=np.float64)
-    null_values = null_curve.values
+    null_values = np.asarray(null_values, dtype=np.float64)
     if mean_errors.shape != null_values.shape:
         raise ValueError(
             f"{mean_errors.shape[0]} errors vs curve of length {null_values.shape[0]}"
@@ -291,16 +270,13 @@ def find_relevant_minima(mean_errors) -> list[int]:
     k = mean_errors.shape[0]
     if k < 3:
         return []
-    best = fit_msle(mean_errors, NullErrorCurve.build(k)).msle
+    best = fit_msle(mean_errors, null_curve(k)).msle
     accepted: list[int] = []
     remaining = list(range(2, k))
     while remaining:
         scored = min(
             (
-                fit_msle(
-                    mean_errors,
-                    NullErrorCurve.build(k, tuple(sorted(accepted + [kappa]))),
-                ).msle,
+                fit_msle(mean_errors, null_curve(k, sorted(accepted + [kappa]))).msle,
                 kappa,
             )
             for kappa in remaining
@@ -389,9 +365,7 @@ def infer_hierarchy(
             restarts=config.kmeans_restarts,
         )
         accepted = find_relevant_minima(candidates.mean_errors)
-        base_fit = fit_msle(
-            candidates.mean_errors, NullErrorCurve.build(current.k)
-        )
+        base_fit = fit_msle(candidates.mean_errors, null_curve(current.k))
         record = {
             "k": current.k,
             "mean_errors": candidates.mean_errors.tolist(),
@@ -400,10 +374,7 @@ def infer_hierarchy(
             "accepted": list(accepted),
         }
         if accepted:
-            cond_fit = fit_msle(
-                candidates.mean_errors,
-                NullErrorCurve.build(current.k, tuple(accepted)),
-            )
+            cond_fit = fit_msle(candidates.mean_errors, null_curve(current.k, accepted))
             record["sigma_conditional"] = cond_fit.sigma
             record["msle_conditional"] = cond_fit.msle
         diagnostics.append(record)

@@ -25,7 +25,6 @@ from .rng import substream, substream_seed
 
 __all__ = [
     "EigsResult",
-    "BetheHessian",
     "BetheClustering",
     "eigs_symmetric",
     "bethe_hessian",
@@ -61,14 +60,6 @@ class EigsResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class BetheHessian:
-    """The operator ``(r^2 - 1) I + D - r A`` for a regularization ``r``."""
-
-    matrix: sp.csr_matrix
-    r: float
 
 
 @dataclass(frozen=True)
@@ -139,13 +130,10 @@ def eigs_symmetric(matrix, m: int, seed: int = 0, *, tol: float = 0.0) -> EigsRe
     return EigsResult(eigenvalues=values[order], eigenvectors=vectors[:, order])
 
 
-def bethe_hessian(graph: Graph, r: float) -> BetheHessian:
+def bethe_hessian(graph: Graph, r: float) -> sp.csr_matrix:
     """Assemble ``(r^2 - 1) I + D - r A``; sparsity matches A plus diagonal."""
     n = graph.n
-    matrix = (
-        sp.diags(np.full(n, r * r - 1.0) + graph.degrees) - r * graph.adjacency
-    ).tocsr()
-    return BetheHessian(matrix=matrix, r=float(r))
+    return (sp.diags(np.full(n, r * r - 1.0) + graph.degrees) - r * graph.adjacency).tocsr()
 
 
 def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarray]:
@@ -216,8 +204,9 @@ def cluster_bethe_hessian(
     blocks = []
     counts = []
     for sign, name in ((1.0, "pos"), (-1.0, "neg")):
-        op = bethe_hessian(graph, sign * r)
-        count, vectors = _count_nonpositive(op.matrix, seed=substream_seed(seed, name))
+        count, vectors = _count_nonpositive(
+            bethe_hessian(graph, sign * r), seed=substream_seed(seed, name)
+        )
         counts.append(count)
         if count:
             blocks.append(vectors)

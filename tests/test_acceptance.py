@@ -19,8 +19,6 @@ from hierspect import (
     ami,
     cluster_bethe_hessian,
     estimate_affinity,
-    expected_error,
-    expected_error_conditional,
     find_relevant_minima,
     fit_msle,
     generate_hierarchical,
@@ -28,13 +26,13 @@ from hierspect import (
     identify_partitions_and_errors,
     infer_hierarchy,
     kmeans,
+    null_curve,
     projection_error,
     quotient,
     score_hierarchy,
     solve_planted_params,
     structural_eigenvectors,
 )
-from hierspect.hierarchy import NullErrorCurve
 from hierspect.synthetic import SynthSpec, build_hierarchy_model, snr_of
 
 from conftest import random_graph
@@ -237,7 +235,7 @@ def test_criterion_5_expected_error_formulas():
             q, _ = np.linalg.qr(raw)
             total += projection_error(partition, np.hstack([const, q]))
         mean = total / samples
-        target = expected_error(n, k)
+        target = null_curve(n)[k - 1]
         rel = abs(mean - target) / target
         details.append(f"k={k}: rel.err={rel:.4f}")
         mc_ok = mc_ok and rel <= 0.02
@@ -245,8 +243,8 @@ def test_criterion_5_expected_error_formulas():
     exact_ok = True
     for kappas in [(3,), (3, 9), (4, 11, 19)]:
         for r in (1,) + kappas + (27,):
-            exact_ok = exact_ok and expected_error_conditional(27, r, kappas) == 0.0
-        values = [expected_error_conditional(27, r, kappas) for r in range(1, 28)]
+            exact_ok = exact_ok and null_curve(27, kappas)[r - 1] == 0.0
+        values = null_curve(27, kappas)
         knots = (1,) + kappas + (27,)
         for lo, hi in zip(knots, knots[1:]):
             # both segment formulas agree at their shared knot within 1e-12
@@ -414,8 +412,8 @@ def test_criterion_10_model_selection_fixture():
         accepted = find_relevant_minima(cands.mean_errors)
         if accepted == [3, 9]:
             exact += 1
-            base = fit_msle(cands.mean_errors, NullErrorCurve.build(27))
-            cond = fit_msle(cands.mean_errors, NullErrorCurve.build(27, (3, 9)))
+            base = fit_msle(cands.mean_errors, null_curve(27))
+            cond = fit_msle(cands.mean_errors, null_curve(27, (3, 9)))
             cond_below += cond.msle < base.msle
     ok = exact >= 8 and cond_below == exact
     _report(

@@ -269,6 +269,25 @@ class TestBenchmark:
         assert statuses[0] == "ok"
         assert statuses[1].startswith("error:")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"--model": "flat", "--schedule": "2,4"},
+            {"--n": "1"},
+            {"--snr-range": "0:0:1"},
+            {"--avg-degree": "-5"},
+            {"--model": "assortative", "--schedule": "2,5"},
+        ],
+        ids=["flat-two-levels", "n-1", "snr-0", "negative-degree", "non-refining-schedule"],
+    )
+    def test_invalid_spec_is_usage_error(self, tmp_path, overrides):
+        options = {"--model": "flat", "--n": "80", "--schedule": "8",
+                   "--avg-degree": "10", "--snr-range": "6:6:1", **overrides}
+        out = tmp_path / "r.csv"
+        argv = [part for item in options.items() for part in item]
+        assert run("benchmark", *argv, "--z", "5", "--out", str(out)) == EXIT_USAGE
+        assert not out.exists()
+
     def test_bad_range_is_usage_error(self, tmp_path):
         assert run(
             "benchmark", "--model", "flat", "--n", "80", "--avg-degree", "10",

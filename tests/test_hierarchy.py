@@ -6,18 +6,16 @@ import pytest
 from hierspect import (
     AffinityMatrix,
     DetectionConfig,
-    NullErrorCurve,
     Partition,
     SynthSpec,
     bootstrap_perturb_affinity,
     estimate_affinity,
-    expected_error,
-    expected_error_conditional,
     find_relevant_minima,
     fit_msle,
     generate_hierarchical,
     identify_partitions_and_errors,
     infer_hierarchy,
+    null_curve,
     projection_error,
     structural_eigenvectors,
 )
@@ -27,17 +25,11 @@ from hierspect.graph import relative_partition
 class TestExpectedError:
     def test_boundary_values(self):
         for n in (2, 10, 100):
-            assert expected_error(n, 1) == 0.0
-            assert expected_error(n, n) == 0.0
+            assert null_curve(n)[0] == 0.0
+            assert null_curve(n)[n - 1] == 0.0
 
     def test_closed_form_value(self):
-        assert expected_error(27, 3) == pytest.approx(48 / 26)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            expected_error(10, 0)
-        with pytest.raises(ValueError):
-            expected_error(10, 11)
+        assert null_curve(27)[3 - 1] == pytest.approx(48 / 26)
 
     def test_monte_carlo_agreement(self):
         # mean projection error of random orthonormal blocks with a constant
@@ -54,28 +46,27 @@ class TestExpectedError:
             raw -= raw.mean(axis=0)
             q, _ = np.linalg.qr(raw)
             total += projection_error(p, np.hstack([const, q]))
-        assert total / samples == pytest.approx(expected_error(n, k), rel=0.04)
+        assert total / samples == pytest.approx(null_curve(n)[k - 1], rel=0.04)
 
 
 class TestExpectedErrorConditional:
     def test_reduces_to_unconditional(self):
         for n in (5, 27):
-            for r in range(1, n + 1):
-                assert expected_error_conditional(n, r, ()) == expected_error(n, r)
+            np.testing.assert_array_equal(null_curve(n, ()), null_curve(n))
 
     def test_known_values(self):
-        assert expected_error_conditional(27, 9, (3,)) == pytest.approx(4.5)
-        assert expected_error_conditional(27, 2, (3,)) == pytest.approx(0.5)
+        assert null_curve(27, (3,))[9 - 1] == pytest.approx(4.5)
+        assert null_curve(27, (3,))[2 - 1] == pytest.approx(0.5)
 
     def test_vanishes_at_conditioning_points(self):
         kappas = (3, 9)
         for r in (1, 3, 9, 27):
-            assert expected_error_conditional(27, r, kappas) == 0.0
+            assert null_curve(27, kappas)[r - 1] == 0.0
 
     def test_piecewise_continuity(self):
         kappas = (4, 11, 19)
         n = 30
-        values = [expected_error_conditional(n, r, kappas) for r in range(1, n + 1)]
+        values = null_curve(n, kappas)
         # continuity at knots: both one-sided formulas give zero there
         for kappa in kappas:
             assert values[kappa - 1] == 0.0
@@ -83,17 +74,17 @@ class TestExpectedErrorConditional:
 
     def test_invalid_kappas(self):
         with pytest.raises(ValueError):
-            expected_error_conditional(10, 5, (9, 3))
+            null_curve(10, (9, 3))
         with pytest.raises(ValueError):
-            expected_error_conditional(10, 5, (1,))
+            null_curve(10, (1,))
         with pytest.raises(ValueError):
-            expected_error_conditional(10, 5, (10,))
+            null_curve(10, (10,))
 
     def test_curve_object(self):
-        curve = NullErrorCurve.build(27, (3, 9))
-        assert curve.values.shape == (27,)
-        assert curve.values[2] == 0.0 and curve.values[8] == 0.0
-        assert curve.conditioning == (3, 9)
+        curve = null_curve(27, (3, 9))
+        assert curve.shape == (27,)
+        assert curve[2] == 0.0 and curve[8] == 0.0
+        assert not curve.flags.writeable
 
     @staticmethod
     def _loop_curve(n, kappas):
@@ -117,8 +108,8 @@ class TestExpectedErrorConditional:
             kappas = tuple(sorted(rng.choice(np.arange(2, n), size=m, replace=False).tolist()))
             cases.append((n, kappas))
         for n, kappas in cases:
-            curve = NullErrorCurve.build(n, kappas)
-            assert curve.values.tobytes() == self._loop_curve(n, kappas).tobytes(), (n, kappas)
+            curve = null_curve(n, kappas)
+            assert curve.tobytes() == self._loop_curve(n, kappas).tobytes(), (n, kappas)
 
 
 class TestPerturbAffinity:
@@ -167,41 +158,41 @@ class TestStructuralEigenvectors:
 
 class TestFitMsle:
     def test_perfect_proportional_fit(self):
-        curve = NullErrorCurve.build(20)
-        fit = fit_msle(0.4 * curve.values, curve)
+        curve = null_curve(20)
+        fit = fit_msle(0.4 * curve, curve)
         assert fit.sigma == pytest.approx(0.4, abs=1e-6)
         assert fit.msle <= 1e-12
 
     def test_fitted_sigma_increases_when_errors_double(self):
-        curve = NullErrorCurve.build(15)
+        curve = null_curve(15)
         rng = np.random.default_rng(7)
-        errors = 0.3 * curve.values * (1 + 0.1 * rng.random(15))
+        errors = 0.3 * curve * (1 + 0.1 * rng.random(15))
         s1 = fit_msle(errors, curve).sigma
         s2 = fit_msle(2 * errors, curve).sigma
         assert s2 > s1
 
     def test_all_zero_curve_unidentifiable(self):
-        curve = NullErrorCurve.build(2)
+        curve = null_curve(2)
         fit = fit_msle(np.array([0.0, 0.5]), curve)
         assert fit.sigma == 1.0
         assert not fit.identifiable
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fit_msle(np.zeros(5), NullErrorCurve.build(6))
+            fit_msle(np.zeros(5), null_curve(6))
 
 
 class TestFindRelevantMinima:
     def test_exact_conditional_curve_recovered(self):
-        curve = NullErrorCurve.build(12, (4,))
-        assert find_relevant_minima(curve.values) == [4]
+        curve = null_curve(12, (4,))
+        assert find_relevant_minima(curve) == [4]
 
     def test_proportional_curve_rejected(self):
-        assert find_relevant_minima(0.7 * NullErrorCurve.build(12).values) == []
+        assert find_relevant_minima(0.7 * null_curve(12)) == []
 
     def test_two_level_curve(self):
-        curve = NullErrorCurve.build(27, (3, 9))
-        assert find_relevant_minima(0.8 * curve.values) == [3, 9]
+        curve = null_curve(27, (3, 9))
+        assert find_relevant_minima(0.8 * curve) == [3, 9]
 
     def test_short_curves(self):
         assert find_relevant_minima(np.array([0.0, 0.0])) == []
@@ -287,8 +278,8 @@ class TestIdentifyPartitionsAndErrors:
         graph, truth = generate_hierarchical(spec)
         omega = estimate_affinity(graph, truth.partitions[0])
         cands = identify_partitions_and_errors(omega, z=50, seed=22)
-        base = fit_msle(cands.mean_errors, NullErrorCurve.build(27))
-        cond = fit_msle(cands.mean_errors, NullErrorCurve.build(27, (3, 9)))
+        base = fit_msle(cands.mean_errors, null_curve(27))
+        cond = fit_msle(cands.mean_errors, null_curve(27, (3, 9)))
         assert cond.msle < base.msle
         assert cond.sigma > base.sigma
 

@@ -98,21 +98,21 @@ class TestBetheHessian:
     def test_r_one_recovers_laplacian(self, k4):
         op = bethe_hessian(k4, 1.0)
         np.testing.assert_allclose(
-            op.matrix.toarray(), np.diag(k4.degrees) - k4.adjacency.toarray(), atol=0
+            op.toarray(), np.diag(k4.degrees) - k4.adjacency.toarray(), atol=0
         )
 
     def test_single_edge_r_two(self):
         k2 = Graph.from_edges([(0, 1)])
         op = bethe_hessian(k2, 2.0)
-        np.testing.assert_allclose(op.matrix.toarray(), [[4.0, -2.0], [-2.0, 4.0]])
+        np.testing.assert_allclose(op.toarray(), [[4.0, -2.0], [-2.0, 4.0]])
         np.testing.assert_allclose(
-            np.linalg.eigvalsh(op.matrix.toarray()), [2.0, 6.0]
+            np.linalg.eigvalsh(op.toarray()), [2.0, 6.0]
         )
 
     def test_r_zero(self, k3):
         op = bethe_hessian(k3, 0.0)
         np.testing.assert_allclose(
-            op.matrix.toarray(), np.diag(k3.degrees) - np.eye(3)
+            op.toarray(), np.diag(k3.degrees) - np.eye(3)
         )
 
     def test_action_on_ones_identity(self):
@@ -120,7 +120,7 @@ class TestBetheHessian:
         g = random_graph(rng, 25, weighted=True)
         for r in (0.5, 1.7, -2.3):
             op = bethe_hessian(g, r)
-            lhs = op.matrix @ np.ones(g.n)
+            lhs = op @ np.ones(g.n)
             rhs = (r * r - 1.0) * np.ones(g.n) + (1.0 - r) * g.degrees
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -133,7 +133,7 @@ class TestClusterBetheHessian:
         assert res.r == pytest.approx(2.0)
         assert ami(res.partition, two_cliques_partition) == 1.0
         # B_r = 7I - 2A has exactly two eigenvalues at -1
-        evals = np.linalg.eigvalsh(bethe_hessian(two_cliques, 2.0).matrix.toarray())
+        evals = np.linalg.eigvalsh(bethe_hessian(two_cliques, 2.0).toarray())
         np.testing.assert_allclose(evals[:2], [-1.0, -1.0], atol=1e-12)
         assert evals[2] > 0
 
@@ -153,7 +153,7 @@ class TestClusterBetheHessian:
         assert res1.k_hat == res2.k_hat
 
     def test_counting_tolerance_stable_under_doubling(self, two_cliques):
-        op = bethe_hessian(two_cliques, 2.0).matrix
+        op = bethe_hessian(two_cliques, 2.0)
         tau = 1e-10 * np.abs(op.diagonal()).max()
         evals = np.linalg.eigvalsh(op.toarray())
         assert np.sum(evals <= tau) == np.sum(evals <= 2 * tau)
@@ -222,7 +222,7 @@ class TestDenseCount:
         assert spy == [twelve_k5.n, twelve_k5.n]
 
     def test_count_and_vectors_match_full_eigh(self, twelve_k5, spy):
-        op = bethe_hessian(twelve_k5, 2.0).matrix
+        op = bethe_hessian(twelve_k5, 2.0)
         count, vectors = spectral._count_nonpositive(op, seed=4)
         assert spy == [twelve_k5.n]
         values, full = scipy.linalg.eigh(op.toarray())
@@ -245,7 +245,7 @@ class TestSparseCount:
         r = np.sqrt(g.total_weight / g.n)
         ops = {}
         for sign in (1.0, -1.0):
-            op = bethe_hessian(g, sign * r).matrix
+            op = bethe_hessian(g, sign * r)
             tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
             count = int(np.sum(np.linalg.eigvalsh(op.toarray()) <= tau))
             ops[sign] = (op, count)
