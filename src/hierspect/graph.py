@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,58 +364,139 @@ def relative_partition(fine: Partition, coarse: Partition) -> Partition:
     return result
 
 
+# The ASCII bytes that Python's ``str.split`` treats as whitespace, which
+# separate the tokens of an edge list, and the bytes other than those and
+# the decimal digits, which make a token something other than a node id.
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_NON_DIGIT = ~_SEPARATOR
+_NON_DIGIT[48:58] = False
+_TOKEN = re.compile(b"[^%s]+" % re.escape(bytes(np.flatnonzero(_SEPARATOR).tolist())))
+_ID = re.compile(rb"-?[0-9]+")
+_HEADER = re.compile(rb"#\s*n=([0-9]+)")
+# Ids at or above this bound are rejected: no graph that size fits in
+# memory, and the digit-by-digit parse, clamped at it, cannot overflow.
+_ID_BOUND = 10**17
+_WEIGHT_BLOCK = 2**16
+
+
+def _to_float(token: bytes) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        return np.nan
+
+
+def _parse_weights(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``float`` of each token, NaN where it fails; in blocks, which bound
+    the Python objects alive at once."""
+    out = np.empty(starts.size)
+    for i in range(0, starts.size, _WEIGHT_BLOCK):
+        block = zip(starts[i : i + _WEIGHT_BLOCK].tolist(), ends[i : i + _WEIGHT_BLOCK].tolist())
+        out[i : i + _WEIGHT_BLOCK] = [_to_float(raw[a:b]) for a, b in block]
+    return out
+
+
+def _line_error(line: bytes, line_no: int, limit: int) -> EdgeListError:
+    """The error of one line that failed the vectorised checks: the same
+    checks, in the order a line-by-line reader makes them."""
+    parts = _TOKEN.findall(line)
+
+    def error(message):
+        return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
+
+    text = line.decode("utf-8", "replace").strip()
+    if len(parts) not in (2, 3):
+        return error(f"expected 'u v [w]', got {text!r}")
+    if not all(_ID.fullmatch(p) for p in parts[:2]):
+        return error(f"node ids must be integers, got {text!r}")
+    if any(p.startswith(b"-") for p in parts[:2]):
+        return error("node ids must be non-negative")
+    for p in parts[:2]:
+        if int(p) >= limit:
+            return error(f"node id {int(p)} out of range, ids must be below {limit}")
+    try:
+        float(parts[2])
+    except ValueError:
+        return error(f"weight must be a number, got {parts[2].decode('utf-8', 'replace')!r}")
+    return error("weight must be finite and non-negative")
+
+
 def read_edge_list(path) -> Graph:
     """Read a graph from a text edge list.
 
     One edge per line, ``u v [w]``, whitespace-separated 0-based integer
-    ids; blank lines and lines starting with ``#`` are ignored.
+    ids; blank lines and lines starting with ``#`` are ignored.  A first
+    line ``# n=<N>``, as ``write_edge_list`` writes, sets the node count,
+    so isolated nodes above the largest id are kept; without it ``n`` is
+    the largest id plus one.
+
+    The whole file is tokenised as one byte array.  Lines end at ``\\n``,
+    ``\\r\\n`` or a lone ``\\r``, as in text mode, so an error names the
+    line a line-by-line reader would name.
     """
-    us, vs, ws = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise EdgeListError(
-                    f"line {line_no}: expected 'u v [w]', got {line!r}", line_no=line_no
-                )
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError:
-                raise EdgeListError(
-                    f"line {line_no}: node ids must be integers, got {line!r}",
-                    line_no=line_no,
-                ) from None
-            if u < 0 or v < 0:
-                raise EdgeListError(
-                    f"line {line_no}: node ids must be non-negative", line_no=line_no
-                )
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise EdgeListError(
-                        f"line {line_no}: weight must be a number, got {parts[2]!r}",
-                        line_no=line_no,
-                    ) from None
-                if not np.isfinite(w) or w < 0:
-                    raise EdgeListError(
-                        f"line {line_no}: weight must be finite and non-negative",
-                        line_no=line_no,
-                    )
-            else:
-                w = 1.0
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    if not us:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = np.frombuffer(raw, dtype=np.uint8)
+    breaks = np.flatnonzero(data == ord("\n"))
+    cr = np.flatnonzero(data == ord("\r"))
+    if cr.size:
+        follows = np.append(data, 0)[cr + 1]
+        breaks = np.union1d(breaks, cr[follows != ord("\n")])
+    # -1 at the first byte of a token, +1 just past its last byte
+    step = np.diff(np.concatenate(([True], _SEPARATOR[data], [True])).view(np.int8))
+    starts = np.flatnonzero(step == -1)
+    ends = np.flatnonzero(step == 1)
+    del step
+    # 0-based line of each token; a line whose first token starts with '#'
+    # is a comment
+    line = np.searchsorted(breaks, starts)
+    first = np.diff(line, prepend=-1) != 0
+    keep = (data[starts[first]] != ord("#"))[np.cumsum(first) - 1]
+    if not keep.any():
         raise EdgeListError("edge list contains no edges")
-    return Graph.from_arrays(
-        np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
-    )
+    header = _HEADER.fullmatch(raw[: breaks[0] if breaks.size else None].strip())
+    n = int(header.group(1)) if header else None
+    limit = _ID_BOUND if n is None else min(n, _ID_BOUND)
+    # each segment runs from a token to the next one, with only
+    # separators in between
+    non_digit = np.logical_or.reduceat(_NON_DIGIT[data], starts)
+    if not keep.all():
+        starts, ends, line, non_digit = starts[keep], ends[keep], line[keep], non_digit[keep]
+    del first, keep
+
+    # one entry per edge line from here on
+    line_start = np.flatnonzero(np.diff(line, prepend=-1))
+    width = np.diff(line_start, append=starts.size)
+    bad = (width < 2) | (width > 3)
+    ids = []
+    for col in (0, 1):
+        token = np.minimum(line_start + col, starts.size - 1)
+        first_byte, length = starts[token], ends[token] - starts[token]
+        value = np.zeros(token.size, dtype=np.int64)
+        for j in range(int(length.max())):
+            more = length > j
+            np.multiply(value, 10, out=value, where=more)
+            np.add(value, data[np.where(more, first_byte + j, 0)] - ord("0"), out=value, where=more)
+            np.minimum(value, _ID_BOUND, out=value)
+        bad |= non_digit[token] | (value >= limit)
+        ids.append(value)
+    weighted = width == 3
+    weights = None
+    if weighted.any():
+        token = line_start[weighted] + 2
+        weights = np.ones(width.size)
+        weights[weighted] = _parse_weights(raw, starts[token], ends[token])
+        bad |= ~(np.isfinite(weights) & (weights >= 0))
+    if bad.any():
+        k = int(line[line_start[np.argmax(bad)]])
+        lo = int(breaks[k - 1]) + 1 if k else 0
+        hi = int(breaks[k]) if k < breaks.size else len(raw)
+        raise _line_error(raw[lo:hi], k + 1, limit)
+    # the file and token arrays go before the graph's own arrays are built,
+    # which keeps the peak below that of a line-by-line reader
+    del raw, data, breaks, starts, ends, line
+    return Graph.from_arrays(ids[0], ids[1], weights, n=n)
 
 
 def write_edge_list(graph: Graph, path) -> None:

@@ -12,7 +12,10 @@ groups is the same problem as k-means on the rows of ``V``, which is how
 arrays, in blocks bounded by ``BUDGET`` elements.  Every restart keeps its
 own random substream and draws from it in the same order as when run
 alone, and every per-restart reduction keeps its order, so the result is
-bit-for-bit the one of running the restarts one at a time.
+bit-for-bit the one of running the restarts one at a time.  The cluster
+sums of the Lloyd centres and of the objective are weighted ``bincount``s
+over (restart, cluster) cells: each cell adds its points in point order,
+starting from 0.0, as ``np.add.at`` would.
 """
 
 from __future__ import annotations
@@ -121,9 +124,23 @@ def _seed_block(
     return centers
 
 
+def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster sums of the points for each restart's labels, (R, k, d).
+
+    One weighted ``bincount`` per column over the flattened (restart,
+    cluster) cells; it adds each cell's points in point order, from 0.0.
+    """
+    n_restarts = labels.shape[0]
+    cells = (labels + k * np.arange(n_restarts)[:, None]).ravel()
+    columns = np.tile(points, (n_restarts, 1)).T
+    sums = np.empty((points.shape[1], n_restarts * k))
+    for c, column in enumerate(columns):
+        sums[c] = np.bincount(cells, weights=column, minlength=n_restarts * k)
+    return sums.T.reshape(n_restarts, k, -1)
+
+
 def _wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, labels, points)
+    sums = _cluster_sums(points, labels[None], k)[0]
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     means = sums / counts[:, None]
     residual = points - means[labels]
@@ -171,10 +188,7 @@ def _lloyd_block(
         active, labels = active[~done], new_labels[~done]
         if not active.size:
             return result
-        # per-cell sums accumulate in point order, as for a single restart
-        sums = np.zeros((active.size, k, points.shape[1]))
-        np.add.at(sums, (np.arange(active.size)[:, None], labels), points)
-        centers = sums / _block_counts(labels, k)[:, :, None]
+        centers = _cluster_sums(points, labels, k) / _block_counts(labels, k)[:, :, None]
     result[active] = labels
     return result
 

@@ -143,13 +143,17 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
     the count and vectors are read off that decomposition.
 
     Above it the work has two phases.  The count phase requests
-    smallest-algebraic eigenvalues in doubling batches, at the loose
-    tolerance ``COUNT_PROBE_TOL``, until a strictly positive one shows up
-    or the cap is reached; the loose probes have the signs of true
-    eigenvalues, so the count is the one a tight solve would give.  The
-    vector phase then solves for exactly ``count`` pairs at full accuracy,
-    which converges fast because the count-th and next eigenvalues are far
-    apart.
+    smallest-algebraic eigenvalues at the loose tolerance
+    ``COUNT_PROBE_TOL``, first one, then 8, 16, 32, ... (doubling), until
+    a strictly positive one shows up or the cap is reached; the loose
+    probes have the signs of true eigenvalues, so the count is the one a
+    tight solve would give.  A probe costs about as much as the bulk
+    eigenvalues it has to converge, so the one-value probe settles a count
+    of zero (the usual case at ``-r`` on assortative graphs) for one bulk
+    value instead of eight, and costs little when it lands on an isolated
+    outlier.  The vector phase then solves for exactly ``count`` pairs at
+    full accuracy, which converges fast because the count-th and next
+    eigenvalues are far apart.
 
     Raises
     ------
@@ -167,13 +171,13 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
         # copy, so the columns past the count are freed
         return count, res.eigenvectors[:, :count].copy()
 
-    m = min(8, cap)
+    m = 1
     while True:
         probe = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL).eigenvalues
         count = int(np.sum(probe <= tau))
         if count < m or m >= cap:
             break
-        m = min(2 * m, cap)
+        m = min(max(8, 2 * m), cap)
     if count == 0:
         return 0, np.empty((n, 0))
     res = eigs_symmetric(matrix, count, seed=seed)

@@ -99,6 +99,21 @@ class TestDetect:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("detect", "--edges", str(tmp_path / "absent.tsv")) == EXIT_DATA
 
+    def test_isolated_top_ids_keep_node_count(self, tmp_path):
+        edges, truth, hier = (tmp_path / name for name in ("e.tsv", "t.json", "h.json"))
+        code = run(
+            "generate", "--model", "assortative", "--n", "512", "--schedule", "2,4",
+            "--avg-degree", "3", "--snr", "2", "--seed", "5",
+            "--edges", str(edges), "--truth", str(truth),
+        )
+        assert code == EXIT_OK
+        ids = np.loadtxt(edges, dtype=np.int64, usecols=(0, 1), ndmin=2)
+        # the fixture's point: the largest id in an edge is below n - 1
+        assert ids.max() < 511
+        assert run("detect", "--edges", str(edges), "--out", str(hier)) == EXIT_OK
+        assert json.loads(hier.read_text())["n"] == 512
+        assert run("eval", "--truth", str(truth), "--pred", str(hier)) == EXIT_OK
+
 
 class TestEval:
     def test_round_trip_scores(self, flat_files, tmp_path, capsys):

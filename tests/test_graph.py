@@ -300,7 +300,104 @@ def test_quotient_identities_hold_for_random_inputs(n, seed):
     )
 
 
+def reference_read_edge_list(path):
+    """Line-by-line reader kept as the reference for ``read_edge_list``
+    (without the ``# n=`` header, which the generated files do not use)."""
+    us, vs, ws = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) not in (2, 3):
+                raise EdgeListError(
+                    f"line {line_no}: expected 'u v [w]', got {line!r}", line_no=line_no
+                )
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListError(
+                    f"line {line_no}: node ids must be integers, got {line!r}",
+                    line_no=line_no,
+                ) from None
+            if u < 0 or v < 0:
+                raise EdgeListError(
+                    f"line {line_no}: node ids must be non-negative", line_no=line_no
+                )
+            w = 1.0
+            if len(parts) == 3:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise EdgeListError(
+                        f"line {line_no}: weight must be a number, got {parts[2]!r}",
+                        line_no=line_no,
+                    ) from None
+                if not np.isfinite(w) or w < 0:
+                    raise EdgeListError(
+                        f"line {line_no}: weight must be finite and non-negative",
+                        line_no=line_no,
+                    )
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
+    if not us:
+        raise EdgeListError("edge list contains no edges")
+    return Graph.from_arrays(np.array(us), np.array(vs), np.array(ws))
+
+
+def random_edge_file(rng):
+    """A small edge-list text with mixed separators, line ends, comments and
+    blank lines; about one file in three has one malformed line."""
+    seps = [" ", "\t", "  ", " \t", "\x0b", "\x1f"]
+    ends = ["\n", "\r\n", "\r"]
+    bad = ["0", "1 2 3 4", "x 1", "1 y", "1.5 2", "-3 1", "2 -7", "1 2 w", "1 2 inf",
+           "1 2 nan", "1 2 -1e-3", "1 2 1e400", "3 4 0x1"]
+    lines = []
+    for _ in range(int(rng.integers(0, 12))):
+        kind = rng.random()
+        sep = lambda: seps[rng.integers(len(seps))]
+        if kind < 0.15:
+            lines.append(sep()[: int(rng.integers(2))] + "# c 1 2 x" * int(rng.integers(2)) + "#")
+        elif kind < 0.25:
+            lines.append(sep() * int(rng.integers(2)))
+        else:
+            ids = [str(int(i)).zfill(int(rng.integers(1, 3))) for i in rng.integers(0, 30, 2)]
+            if rng.random() < 0.4:
+                ids.append(repr(float(rng.choice([0.0, 1.0, 2.5, 1e-7, 123.0]))))
+            lines.append(sep()[: int(rng.integers(2))] + sep().join(ids) + sep()[: int(rng.integers(2))])
+    if rng.random() < 0.35:
+        lines.insert(int(rng.integers(len(lines) + 1)), bad[rng.integers(len(bad))])
+    text = "".join(line + ends[rng.integers(len(ends))] for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text.encode()
+
+
 class TestEdgeListIO:
+    def test_matches_line_by_line_reference(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        rng = np.random.default_rng(20)
+        outcomes = set()
+        for _ in range(400):
+            path.write_bytes(random_edge_file(rng))
+            try:
+                expected = reference_read_edge_list(path)
+            except EdgeListError as exc:
+                with pytest.raises(EdgeListError) as got:
+                    read_edge_list(path)
+                assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+                outcomes.add(str(exc).split(": ")[-1][:20])
+                continue
+            g = read_edge_list(path)
+            assert g.n == expected.n
+            assert (g.adjacency != expected.adjacency).nnz == 0
+            outcomes.add("ok")
+        # every kind of outcome came up
+        assert len(outcomes) == 7, outcomes
+
+
     def test_roundtrip(self, tmp_path):
         g = Graph.from_edges([(0, 1, 0.5), (1, 2), (3, 3, 1.5)])
         path = tmp_path / "edges.tsv"
@@ -327,3 +424,92 @@ class TestEdgeListIO:
         path.write_text("0 1 w\n")
         with pytest.raises(EdgeListError, match="line 1"):
             read_edge_list(path)
+
+    def test_roundtrip_keeps_isolated_top_nodes(self, tmp_path):
+        g = Graph.from_edges([(0, 1)], n=3)
+        path = tmp_path / "edges.tsv"
+        write_edge_list(g, path)
+        assert path.read_text().splitlines()[0] == "# n=3"
+        g2 = read_edge_list(path)
+        assert g2.n == 3
+        np.testing.assert_array_equal(g2.adjacency.toarray(), g.adjacency.toarray())
+
+    def test_header_only_on_first_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"0 1\n# n=9\n1 2\n")
+        assert read_edge_list(path).n == 3
+
+    def test_id_beyond_header_reports_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"# n=4\n0 1\n# note\n2 4\n3 3\n")
+        with pytest.raises(EdgeListError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == "line 4: node id 4 out of range, ids must be below 4"
+        assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize(
+        "content, edges",
+        [
+            pytest.param(b"0 1\n1 2 2.5\n2 3 1\n", [(0, 1), (1, 2, 2.5), (2, 3)], id="mixed-width"),
+            pytest.param(b"0\t1\n1 \t 2\t0.5\n", [(0, 1), (1, 2, 0.5)], id="tabs"),
+            pytest.param(b"0 1\r\n1 2 3.0\r\n", [(0, 1), (1, 2, 3.0)], id="crlf"),
+            pytest.param(b"0 1\r1 2\r", [(0, 1), (1, 2)], id="lone-cr"),
+            pytest.param(b"\n\n0 1\n\n   \n1 2\n\n", [(0, 1), (1, 2)], id="blank-lines"),
+            pytest.param(
+                b"  # note\n0 1\n\t# 5 6 7 8\n1 2\n", [(0, 1), (1, 2)], id="indented-comments"
+            ),
+            pytest.param(b"0 1\n1 2 0.25", [(0, 1), (1, 2, 0.25)], id="no-final-newline"),
+            pytest.param(
+                b"0 1\n1 0\n0 1 0.5\n2 1\n", [(0, 1), (1, 0), (0, 1, 0.5), (2, 1)], id="duplicates"
+            ),
+            pytest.param(b"0 0\n0 1\n2 2 1.5\n", [(0, 0), (0, 1), (2, 2, 1.5)], id="self-loops"),
+            pytest.param(b"007 3 1e-1\n", [(7, 3, 0.1)], id="leading-zeros"),
+        ],
+    )
+    def test_valid_files(self, tmp_path, content, edges):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(content)
+        g = read_edge_list(path)
+        expected = Graph.from_edges(edges)
+        assert g.n == expected.n
+        assert (g.adjacency != expected.adjacency).nnz == 0
+        np.testing.assert_array_equal(g.degrees, expected.degrees)
+
+    @pytest.mark.parametrize(
+        "content, message, line_no",
+        [
+            pytest.param(b"0 1\n0 1 2 3\n", "line 2: expected 'u v [w]', got '0 1 2 3'", 2, id="four-columns"),
+            pytest.param(b"0 1\n  7  \n", "line 2: expected 'u v [w]', got '7'", 2, id="one-column"),
+            pytest.param(b"0 x\n", "line 1: node ids must be integers, got '0 x'", 1, id="non-integer"),
+            pytest.param(b"0 1\n1.5 2\n", "line 2: node ids must be integers, got '1.5 2'", 2, id="float-id"),
+            pytest.param(b"-1 x\n", "line 1: node ids must be integers, got '-1 x'", 1, id="negative-and-non-integer"),
+            pytest.param(b"0 1\n2 -3\n", "line 2: node ids must be non-negative", 2, id="negative-id"),
+            pytest.param(b"0 1 w\n", "line 1: weight must be a number, got 'w'", 1, id="non-numeric-weight"),
+            pytest.param(b"0 1 inf\n", "line 1: weight must be finite and non-negative", 1, id="inf-weight"),
+            pytest.param(b"0 1 nan\n", "line 1: weight must be finite and non-negative", 1, id="nan-weight"),
+            pytest.param(b"0 1 -0.5\n", "line 1: weight must be finite and non-negative", 1, id="negative-weight"),
+            pytest.param(b"-1 2 x\n", "line 1: node ids must be non-negative", 1, id="ids-before-weight"),
+            pytest.param(
+                b"# c\n0 1\n  # c2\n0 x\n", "line 4: node ids must be integers, got '0 x'", 4,
+                id="after-comments",
+            ),
+            pytest.param(
+                b"0 1\r1 2\r\r0 x\n", "line 4: node ids must be integers, got '0 x'", 4,
+                id="after-lone-cr",
+            ),
+            pytest.param(
+                b"0 1\r\n\r\n0 1 2 3\r\n", "line 3: expected 'u v [w]', got '0 1 2 3'", 3,
+                id="after-crlf",
+            ),
+            pytest.param(b"0 1\n0 x\n0 1 2 3\n", "line 2: node ids must be integers, got '0 x'", 2, id="first-error-wins"),
+            pytest.param(b"# only a comment\n\n  \n", "edge list contains no edges", None, id="no-edges"),
+            pytest.param(b"", "edge list contains no edges", None, id="empty-file"),
+        ],
+    )
+    def test_malformed_files(self, tmp_path, content, message, line_no):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(content)
+        with pytest.raises(EdgeListError) as exc:
+            read_edge_list(path)
+        assert str(exc.value) == message
+        assert exc.value.line_no == line_no

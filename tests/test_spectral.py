@@ -298,6 +298,16 @@ class TestSparseCount:
             probes = spy
         assert probes and all(tol == spectral.COUNT_PROBE_TOL for _, tol in probes)
 
+    def test_probe_sequence(self, operators, spy):
+        tol = spectral.COUNT_PROBE_TOL
+        # a count of 0 is settled by one one-value probe
+        assert spectral._count_nonpositive(operators[-1.0][0], seed=5)[0] == 0
+        assert spy == [(1, tol)]
+        # a count of 4 goes on from one value to eight, then solves four
+        spy.clear()
+        assert spectral._count_nonpositive(operators[1.0][0], seed=5)[0] == 4
+        assert spy == [(1, tol), (8, tol), (4, 0.0)]
+
     def test_count_disagreement_raises(self, operators, monkeypatch):
         op, dense_count = operators[1.0]
         real = spectral.eigs_symmetric
