@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 
@@ -364,62 +365,20 @@ def relative_partition(fine: Partition, coarse: Partition) -> Partition:
     return result
 
 
-# The ASCII bytes that Python's ``str.split`` treats as whitespace, which
-# separate the tokens of an edge list, and the bytes other than those and
-# the decimal digits, which make a token something other than a node id.
+# The ASCII bytes that Python's ``str.split`` treats as whitespace: the
+# separators of an edge list's tokens.
 _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_NON_DIGIT = ~_SEPARATOR
-_NON_DIGIT[48:58] = False
-_TOKEN = re.compile(b"[^%s]+" % re.escape(bytes(np.flatnonzero(_SEPARATOR).tolist())))
-_ID = re.compile(rb"-?[0-9]+")
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
 _HEADER = re.compile(rb"#\s*n=([0-9]+)")
-# Ids at or above this bound are rejected: no graph that size fits in
-# memory, and the digit-by-digit parse, clamped at it, cannot overflow.
-_ID_BOUND = 10**17
-_WEIGHT_BLOCK = 2**16
-
-
-def _to_float(token: bytes) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        return np.nan
-
-
-def _parse_weights(raw: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """``float`` of each token, NaN where it fails; in blocks, which bound
-    the Python objects alive at once."""
-    out = np.empty(starts.size)
-    for i in range(0, starts.size, _WEIGHT_BLOCK):
-        block = zip(starts[i : i + _WEIGHT_BLOCK].tolist(), ends[i : i + _WEIGHT_BLOCK].tolist())
-        out[i : i + _WEIGHT_BLOCK] = [_to_float(raw[a:b]) for a, b in block]
-    return out
-
-
-def _line_error(line: bytes, line_no: int, limit: int) -> EdgeListError:
-    """The error of one line that failed the vectorised checks: the same
-    checks, in the order a line-by-line reader makes them."""
-    parts = _TOKEN.findall(line)
-
-    def error(message):
-        return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
-
-    text = line.decode("utf-8", "replace").strip()
-    if len(parts) not in (2, 3):
-        return error(f"expected 'u v [w]', got {text!r}")
-    if not all(_ID.fullmatch(p) for p in parts[:2]):
-        return error(f"node ids must be integers, got {text!r}")
-    if any(p.startswith(b"-") for p in parts[:2]):
-        return error("node ids must be non-negative")
-    for p in parts[:2]:
-        if int(p) >= limit:
-            return error(f"node id {int(p)} out of range, ids must be below {limit}")
-    try:
-        float(parts[2])
-    except ValueError:
-        return error(f"weight must be a number, got {parts[2].decode('utf-8', 'replace')!r}")
-    return error("weight must be finite and non-negative")
+# Node counts and ids at or above this bound are rejected: the row pointers
+# of a graph that size would take 16 GB on their own.
+_NODE_BOUND = 2**31
+# The longest id and weight tokens that the array reader converts (18
+# digits cannot overflow int64); a file with a longer one goes to the
+# line-by-line reader.
+_ID_WIDTH = 18
+_WEIGHT_WIDTH = 32
 
 
 def read_edge_list(path) -> Graph:
@@ -429,15 +388,87 @@ def read_edge_list(path) -> Graph:
     ids; blank lines and lines starting with ``#`` are ignored.  A first
     line ``# n=<N>``, as ``write_edge_list`` writes, sets the node count,
     so isolated nodes above the largest id are kept; without it ``n`` is
-    the largest id plus one.
+    the largest id plus one.  Ids and ``N`` must be below 2^31.
 
-    The whole file is tokenised as one byte array.  Lines end at ``\\n``,
-    ``\\r\\n`` or a lone ``\\r``, as in text mode, so an error names the
-    line a line-by-line reader would name.
+    ``_read_lines`` defines the format.  ``_scan_edges`` reads a plain
+    ASCII file with array operations and hands any file it does not accept
+    whole to ``_read_lines``, which names the first bad line.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    n = _header_node_count(raw)
+    limit = _NODE_BOUND if n is None else n
+    edges = _scan_edges(raw, limit)
+    if edges is None:
+        edges = _read_lines(raw, limit)
+    del raw  # freed before the graph's own arrays are built
+    return Graph.from_arrays(*edges, n=n)
+
+
+def _header_node_count(raw: bytes) -> int | None:
+    """``N`` of a first line ``# n=<N>``; None without one."""
+    header = _HEADER.fullmatch(_FIRST_LINE.match(raw).group().strip())
+    if header is None:
+        return None
+    count = header.group(1).lstrip(b"0") or b"0"
+    if len(count) > len(str(_NODE_BOUND)) or int(count) >= _NODE_BOUND:
+        raise EdgeListError(f"line 1: node count must be below {_NODE_BOUND}", line_no=1)
+    return int(count)
+
+
+def _read_lines(raw: bytes, limit: int):
+    """``(u, v, w)`` arrays of an edge list read one line at a time, as text
+    with universal newlines; an ``EdgeListError`` names the first bad line."""
+    us, vs, ws = [], [], []
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace")
+    for line_no, line in enumerate(text, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise _line_error(line_no, f"expected 'u v [w]', got {line!r}")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError:
+            raise _line_error(line_no, f"node ids must be integers, got {line!r}") from None
+        if u < 0 or v < 0:
+            raise _line_error(line_no, "node ids must be non-negative")
+        for node in (u, v):
+            if node >= limit:
+                raise _line_error(
+                    line_no, f"node id {node} out of range, ids must be below {limit}"
+                )
+        w = 1.0
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise _line_error(line_no, f"weight must be a number, got {parts[2]!r}") from None
+            if not np.isfinite(w) or w < 0:
+                raise _line_error(line_no, "weight must be finite and non-negative")
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    if not us:
+        raise EdgeListError("edge list contains no edges")
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
+
+
+def _line_error(line_no: int, message: str) -> EdgeListError:
+    return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
+
+
+def _scan_edges(raw: bytes, limit: int):
+    """``(u, v, w)`` arrays of an ASCII file in which every line is blank, a
+    comment or ``u v [w]`` with ids below ``limit`` and a finite
+    non-negative weight, exactly as ``_read_lines`` reads it; None for any
+    other file.  ``w`` is None when no line has a weight."""
+    if not raw.isascii() or b"\0" in raw:
+        return None
     data = np.frombuffer(raw, dtype=np.uint8)
+    # lines end at \n, \r\n or a lone \r, as in text mode
     breaks = np.flatnonzero(data == ord("\n"))
     cr = np.flatnonzero(data == ord("\r"))
     if cr.size:
@@ -453,50 +484,47 @@ def read_edge_list(path) -> Graph:
     line = np.searchsorted(breaks, starts)
     first = np.diff(line, prepend=-1) != 0
     keep = (data[starts[first]] != ord("#"))[np.cumsum(first) - 1]
-    if not keep.any():
-        raise EdgeListError("edge list contains no edges")
-    header = _HEADER.fullmatch(raw[: breaks[0] if breaks.size else None].strip())
-    n = int(header.group(1)) if header else None
-    limit = _ID_BOUND if n is None else min(n, _ID_BOUND)
-    # each segment runs from a token to the next one, with only
-    # separators in between
-    non_digit = np.logical_or.reduceat(_NON_DIGIT[data], starts)
-    if not keep.all():
-        starts, ends, line, non_digit = starts[keep], ends[keep], line[keep], non_digit[keep]
-    del first, keep
-
-    # one entry per edge line from here on
+    starts, ends, line = starts[keep], ends[keep], line[keep]
+    del breaks, first, keep
+    # the first token of each edge line, and the line's number of tokens
     line_start = np.flatnonzero(np.diff(line, prepend=-1))
     width = np.diff(line_start, append=starts.size)
-    bad = (width < 2) | (width > 3)
-    ids = []
-    for col in (0, 1):
-        token = np.minimum(line_start + col, starts.size - 1)
-        first_byte, length = starts[token], ends[token] - starts[token]
-        value = np.zeros(token.size, dtype=np.int64)
-        for j in range(int(length.max())):
-            more = length > j
-            np.multiply(value, 10, out=value, where=more)
-            np.add(value, data[np.where(more, first_byte + j, 0)] - ord("0"), out=value, where=more)
-            np.minimum(value, _ID_BOUND, out=value)
-        bad |= non_digit[token] | (value >= limit)
-        ids.append(value)
+    if not line_start.size or width.min() < 2 or width.max() > 3:
+        return None
+    u, v = (
+        _convert(data, starts[line_start + col], ends[line_start + col], _ID_WIDTH, np.int64)
+        for col in (0, 1)
+    )
+    if u is None or v is None or min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= limit:
+        return None
     weighted = width == 3
-    weights = None
-    if weighted.any():
-        token = line_start[weighted] + 2
-        weights = np.ones(width.size)
-        weights[weighted] = _parse_weights(raw, starts[token], ends[token])
-        bad |= ~(np.isfinite(weights) & (weights >= 0))
-    if bad.any():
-        k = int(line[line_start[np.argmax(bad)]])
-        lo = int(breaks[k - 1]) + 1 if k else 0
-        hi = int(breaks[k]) if k < breaks.size else len(raw)
-        raise _line_error(raw[lo:hi], k + 1, limit)
-    # the file and token arrays go before the graph's own arrays are built,
-    # which keeps the peak below that of a line-by-line reader
-    del raw, data, breaks, starts, ends, line
-    return Graph.from_arrays(ids[0], ids[1], weights, n=n)
+    if not weighted.any():
+        return u, v, None
+    token = line_start[weighted] + 2
+    given = _convert(data, starts[token], ends[token], _WEIGHT_WIDTH, np.float64)
+    if given is None or not np.isfinite(given).all() or given.min() < 0:
+        return None
+    w = np.ones(line_start.size)
+    w[weighted] = given
+    return u, v, w
+
+
+def _convert(data, starts, ends, width, dtype):
+    """The tokens ``data[starts:ends]`` converted by numpy's cast from
+    bytes, which applies Python's ``int`` or ``float`` to each; None if a
+    token is longer than ``width`` bytes or does not convert."""
+    length = ends - starts
+    size = int(length.max())
+    if size > width:
+        return None
+    chars = np.zeros((starts.size, size), dtype=np.uint8)
+    for j in range(size):
+        inside = length > j
+        chars[inside, j] = data[starts[inside] + j]
+    try:
+        return chars.view(f"S{size}").ravel().astype(dtype)
+    except ValueError:
+        return None
 
 
 def write_edge_list(graph: Graph, path) -> None:

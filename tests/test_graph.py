@@ -1,5 +1,7 @@
 """Graph construction, Laplacians, aggregation, quotients, equitability."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from hierspect import (
     write_edge_list,
 )
 from hierspect.errors import EdgeListError
+from hierspect import graph as graph_module
 from hierspect.graph import relative_partition
 
 from conftest import random_graph
@@ -300,60 +303,14 @@ def test_quotient_identities_hold_for_random_inputs(n, seed):
     )
 
 
-def reference_read_edge_list(path):
-    """Line-by-line reader kept as the reference for ``read_edge_list``
-    (without the ``# n=`` header, which the generated files do not use)."""
-    us, vs, ws = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise EdgeListError(
-                    f"line {line_no}: expected 'u v [w]', got {line!r}", line_no=line_no
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListError(
-                    f"line {line_no}: node ids must be integers, got {line!r}",
-                    line_no=line_no,
-                ) from None
-            if u < 0 or v < 0:
-                raise EdgeListError(
-                    f"line {line_no}: node ids must be non-negative", line_no=line_no
-                )
-            w = 1.0
-            if len(parts) == 3:
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise EdgeListError(
-                        f"line {line_no}: weight must be a number, got {parts[2]!r}",
-                        line_no=line_no,
-                    ) from None
-                if not np.isfinite(w) or w < 0:
-                    raise EdgeListError(
-                        f"line {line_no}: weight must be finite and non-negative",
-                        line_no=line_no,
-                    )
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    if not us:
-        raise EdgeListError("edge list contains no edges")
-    return Graph.from_arrays(np.array(us), np.array(vs), np.array(ws))
-
-
 def random_edge_file(rng):
     """A small edge-list text with mixed separators, line ends, comments and
     blank lines; about one file in three has one malformed line."""
     seps = [" ", "\t", "  ", " \t", "\x0b", "\x1f"]
     ends = ["\n", "\r\n", "\r"]
     bad = ["0", "1 2 3 4", "x 1", "1 y", "1.5 2", "-3 1", "2 -7", "1 2 w", "1 2 inf",
-           "1 2 nan", "1 2 -1e-3", "1 2 1e400", "3 4 0x1"]
+           "1 2 nan", "1 2 -1e-3", "1 2 1e400", "3 4 0x1", "+3 1_0", "\u0663 1", "1\u00a02",
+           "0" * 30 + "1 2", "1 2 " + "0" * 40 + "1", "1 4" + "0" * 40, "# \u00e9", "1 2\x00"]
     lines = []
     for _ in range(int(rng.integers(0, 12))):
         kind = rng.random()
@@ -376,27 +333,42 @@ def random_edge_file(rng):
 
 
 class TestEdgeListIO:
-    def test_matches_line_by_line_reference(self, tmp_path):
-        path = tmp_path / "edges.tsv"
+    def test_array_reader_matches_line_reader(self):
+        # _read_lines defines the format; the array reader must give the
+        # same arrays on every file it accepts
         rng = np.random.default_rng(20)
         outcomes = set()
+        scanned = 0
         for _ in range(400):
-            path.write_bytes(random_edge_file(rng))
+            raw = random_edge_file(rng)
             try:
-                expected = reference_read_edge_list(path)
+                u, v, w = graph_module._read_lines(raw, graph_module._NODE_BOUND)
             except EdgeListError as exc:
-                with pytest.raises(EdgeListError) as got:
-                    read_edge_list(path)
-                assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+                assert graph_module._scan_edges(raw, graph_module._NODE_BOUND) is None
                 outcomes.add(str(exc).split(": ")[-1][:20])
                 continue
-            g = read_edge_list(path)
-            assert g.n == expected.n
-            assert (g.adjacency != expected.adjacency).nnz == 0
             outcomes.add("ok")
-        # every kind of outcome came up
-        assert len(outcomes) == 7, outcomes
+            edges = graph_module._scan_edges(raw, graph_module._NODE_BOUND)
+            if edges is None:
+                continue
+            scanned += 1
+            np.testing.assert_array_equal(edges[0], u)
+            np.testing.assert_array_equal(edges[1], v)
+            np.testing.assert_array_equal(np.ones_like(w) if edges[2] is None else edges[2], w)
+        # every kind of outcome came up, and most valid files took the array path
+        assert len(outcomes) == 8, outcomes
+        assert scanned > 150, scanned
 
+    def test_long_token_in_large_file(self, tmp_path):
+        # one 100 kB id among 200,000 lines is read in time linear in the file
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"0 1\n" * 100_000 + b"0" * 100_000 + b"7 1\n" + b"1 2\n" * 100_000)
+        start = time.perf_counter()
+        with pytest.raises(EdgeListError) as exc:
+            read_edge_list(path)
+        assert time.perf_counter() - start < 20
+        assert str(exc.value).startswith("line 100001: node ids must be integers, got '000")
+        assert exc.value.line_no == 100_001
 
     def test_roundtrip(self, tmp_path):
         g = Graph.from_edges([(0, 1, 0.5), (1, 2), (3, 3, 1.5)])
@@ -464,6 +436,11 @@ class TestEdgeListIO:
             ),
             pytest.param(b"0 0\n0 1\n2 2 1.5\n", [(0, 0), (0, 1), (2, 2, 1.5)], id="self-loops"),
             pytest.param(b"007 3 1e-1\n", [(7, 3, 0.1)], id="leading-zeros"),
+            pytest.param(
+                "+3 1_0 2_5.0\n\u0663 1\n# caf\u00e9\n4\u00a05\n".encode(),
+                [(3, 10, 25.0), (3, 1), (4, 5)],
+                id="python-int-forms",
+            ),
         ],
     )
     def test_valid_files(self, tmp_path, content, edges):
@@ -504,6 +481,18 @@ class TestEdgeListIO:
             pytest.param(b"0 1\n0 x\n0 1 2 3\n", "line 2: node ids must be integers, got '0 x'", 2, id="first-error-wins"),
             pytest.param(b"# only a comment\n\n  \n", "edge list contains no edges", None, id="no-edges"),
             pytest.param(b"", "edge list contains no edges", None, id="empty-file"),
+            pytest.param(
+                b"# n=100000000000\n0 1\n", "line 1: node count must be below 2147483648", 1,
+                id="huge-header",
+            ),
+            pytest.param(
+                b"# n=" + b"9" * 5000 + b"\n0 1\n", "line 1: node count must be below 2147483648",
+                1, id="header-past-int-digit-limit",
+            ),
+            pytest.param(
+                b"0 1\n2 3000000000\n", "line 2: node id 3000000000 out of range, "
+                "ids must be below 2147483648", 2, id="id-past-bound",
+            ),
         ],
     )
     def test_malformed_files(self, tmp_path, content, message, line_no):
