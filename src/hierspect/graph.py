@@ -115,13 +115,16 @@ class Partition:
         return Partition.from_labels(coarser.assignment[self.assignment])
 
     def group_means(self, x: np.ndarray) -> np.ndarray:
-        """Group-wise means of the rows of ``x`` (this is ``H^+ x``)."""
+        """Group-wise means of the rows of ``x`` (this is ``H^+ x``).  The
+        sums are one weighted ``bincount`` over the (group, column) cells,
+        each adding its rows in row order from 0.0."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[0] != self.n:
             raise ValueError(f"expected {self.n} rows, got {x.shape[0]}")
-        sums = np.zeros((self.k, x.shape[1]))
-        np.add.at(sums, self.assignment, x)
-        return sums / self.group_sizes[:, None]
+        d = x.shape[1]
+        cells = (self.assignment[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(cells, weights=x.ravel(), minlength=self.k * d)
+        return sums.reshape(self.k, d) / self.group_sizes[:, None]
 
 
 @dataclass(frozen=True)
@@ -344,8 +347,7 @@ def coarse_affinity_update(omega: AffinityMatrix, coarser: Partition) -> Affinit
     h = coarser.indicator()
     weighted = fine_sizes[:, None] * omega.values * fine_sizes[None, :]
     agg = h.T @ weighted @ h
-    coarse_sizes = np.zeros(coarser.k)
-    np.add.at(coarse_sizes, coarser.assignment, fine_sizes)
+    coarse_sizes = np.bincount(coarser.assignment, weights=fine_sizes, minlength=coarser.k)
     values = agg / np.outer(coarse_sizes, coarse_sizes)
     return AffinityMatrix(values=values, group_sizes=coarse_sizes.astype(np.int64))
 

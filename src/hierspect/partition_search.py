@@ -7,15 +7,17 @@ removing group-wise means.  It is zero exactly when every column of ``V``
 is constant within each group.  Minimizing it over partitions with ``k``
 groups is the same problem as k-means on the rows of ``V``, which is how
 ``best_eep_partition`` searches for approximately equitable partitions.
+``projection_error``, summed by ``Partition.group_means``, is the one
+objective: perturbation scoring and every ``kmeans`` restart call it.  The
+batched Lloyd centres are summed by ``_cluster_sums``.
 
 ``kmeans`` advances its restarts in lockstep, as (restarts, points, ...)
 arrays, in blocks bounded by ``BUDGET`` elements.  Every restart keeps its
 own random substream and draws from it in the same order as when run
 alone, and every per-restart reduction keeps its order, so the result is
-bit-for-bit the one of running the restarts one at a time.  The cluster
-sums of the Lloyd centres and of the objective are weighted ``bincount``s
-over (restart, cluster) cells: each cell adds its points in point order,
-starting from 0.0, as ``np.add.at`` would.
+bit-for-bit the one of running the restarts one at a time.  Both sums are
+weighted ``bincount``s that add each cell's points in point order, starting
+from 0.0, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -129,6 +131,8 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
 
     One weighted ``bincount`` per column over the flattened (restart,
     cluster) cells; it adds each cell's points in point order, from 0.0.
+    Per column, not per (cell, column) as in ``group_means``: at the finest
+    level's size (19,683 points, 27 columns) it takes half the time.
     """
     n_restarts = labels.shape[0]
     cells = (labels + k * np.arange(n_restarts)[:, None]).ravel()
@@ -137,14 +141,6 @@ def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     for c, column in enumerate(columns):
         sums[c] = np.bincount(cells, weights=column, minlength=n_restarts * k)
     return sums.T.reshape(n_restarts, k, -1)
-
-
-def _wcss(points: np.ndarray, labels: np.ndarray, k: int) -> float:
-    sums = _cluster_sums(points, labels[None], k)[0]
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    means = sums / counts[:, None]
-    residual = points - means[labels]
-    return float(np.sum(residual * residual))
 
 
 def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> None:
@@ -218,7 +214,7 @@ def kmeans(
     twice = 2.0 * points
     trials = 2 + int(np.log(k)) if k > 1 else 1
     block = max(1, BUDGET // (m * max(k, trials)))
-    best_labels = None
+    best = None
     best_obj = np.inf
     best_key = None
     for start in range(0, restarts, block):
@@ -228,12 +224,12 @@ def kmeans(
         ]
         centers = _seed_block(points, norms, twice, k, trials, rngs)
         for labels in _lloyd_block(points, norms, twice, centers):
-            labels = _relabel_first_occurrence(labels)
-            obj = _wcss(points, labels, k)
-            key = tuple(labels.tolist())
+            partition = Partition.from_labels(_relabel_first_occurrence(labels))
+            obj = projection_error(partition, points)
+            key = tuple(partition.assignment.tolist())
             if obj < best_obj or (obj == best_obj and key < best_key):
-                best_labels, best_obj, best_key = labels, obj, key
-    return KMeansResult(partition=Partition.from_labels(best_labels), objective=best_obj)
+                best, best_obj, best_key = partition, obj, key
+    return KMeansResult(partition=best, objective=best_obj)
 
 
 def best_eep_partition(

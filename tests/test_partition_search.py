@@ -89,6 +89,51 @@ class TestProjectionError:
         assert mean == pytest.approx(expected, rel=0.05)
 
 
+def _add_at_means(points, labels, k):
+    """Group means from ``np.add.at`` sums, which add in point order from 0.0."""
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, labels, points)
+    return sums / np.bincount(labels, minlength=k)[:, None]
+
+
+def _add_at_objective(points, labels, k):
+    residual = points - _add_at_means(points, labels, k)[labels]
+    return float(np.sum(residual * residual))
+
+
+def _sum_cases():
+    rng = np.random.default_rng(21)
+    for case in range(240):
+        n = int(rng.integers(1, 70))
+        d = int(rng.integers(1, 9)) if case % 5 else 1
+        layout = case % 4
+        if layout == 0:
+            block = rng.standard_normal((n, d))
+        elif layout == 1:
+            block = np.asfortranarray(rng.standard_normal((n, d)))
+        elif layout == 2:
+            # a column slice, as in ``pert_vectors[:, :r]``
+            block = rng.standard_normal((n, d + 3))[:, :d]
+        else:
+            # duplicate rows and signed zeros
+            block = rng.integers(-1, 2, (n, d)) * np.array([-0.0, 1.5, 3.0])[rng.integers(0, 3, (n, d))]
+            block[rng.integers(0, n, n // 2)] = block[0]
+        k = int(rng.integers(1, n + 1))
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        yield block, Partition.from_labels(rng.permutation(labels))
+
+
+class TestGroupSums:
+    """``group_means`` and ``projection_error`` equal ``np.add.at`` sums bit for bit."""
+
+    def test_bit_equal_to_add_at(self):
+        for block, p in _sum_cases():
+            means = _add_at_means(block, p.assignment, p.k)
+            assert p.group_means(block).tobytes() == means.tobytes()
+            err = _add_at_objective(block, p.assignment, p.k)
+            assert projection_error(p, block) == err
+
+
 class TestKMeans:
     def test_two_well_separated_clusters(self):
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
@@ -187,9 +232,7 @@ def _reference_lloyd(points, k, rng):
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        sums = np.zeros((k, points.shape[1]))
-        np.add.at(sums, labels, points)
-        centers = sums / np.bincount(labels, minlength=k)[:, None]
+        centers = _add_at_means(points, labels, k)
     return labels
 
 
@@ -199,7 +242,7 @@ def reference_kmeans(points, k, restarts, seed, stream=substream):
     for ridx in range(restarts):
         labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
         labels = ps._relabel_first_occurrence(labels)
-        obj = ps._wcss(points, labels, k)
+        obj = _add_at_objective(points, labels, k)
         key = tuple(labels.tolist())
         if obj < best_obj or (obj == best_obj and key < best_key):
             best_labels, best_obj, best_key = labels, obj, key
@@ -284,7 +327,7 @@ class TestDuality:
             v = rng.standard_normal((n, d))
             res = kmeans(v, k, restarts=4, seed=trial)
             err = projection_error(res.partition, v)
-            assert abs(res.objective - err) <= 1e-10
+            assert res.objective == err
 
     def test_kmeans_finds_brute_force_optimum_n6(self):
         rng = np.random.default_rng(10)
