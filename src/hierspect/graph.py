@@ -115,16 +115,17 @@ class Partition:
         return Partition.from_labels(coarser.assignment[self.assignment])
 
     def group_means(self, x: np.ndarray) -> np.ndarray:
-        """Group-wise means of the rows of ``x`` (this is ``H^+ x``).  The
-        sums are one weighted ``bincount`` over the (group, column) cells,
-        each adding its rows in row order from 0.0."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[0] != self.n:
-            raise ValueError(f"expected {self.n} rows, got {x.shape[0]}")
-        d = x.shape[1]
+        """Group-wise means of the rows of ``x`` (this is ``H^+ x``); a vector
+        is one column.  The sums are one weighted ``bincount`` over the
+        (group, column) cells, each adding its rows in row order from 0.0."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"expected {self.n} rows in a vector or 2-d block, got {x.shape}")
+        d = x.size // self.n
         cells = (self.assignment[:, None] * d + np.arange(d)).ravel()
         sums = np.bincount(cells, weights=x.ravel(), minlength=self.k * d)
-        return sums.reshape(self.k, d) / self.group_sizes[:, None]
+        means = sums.reshape(self.k, d) / self.group_sizes[:, None]
+        return means.reshape(self.k, *x.shape[1:])
 
 
 @dataclass(frozen=True)

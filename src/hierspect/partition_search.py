@@ -40,15 +40,16 @@ BUDGET = 2**16
 def projection_error(partition: Partition, vectors: np.ndarray) -> float:
     """Squared Frobenius norm of ``vectors`` after removing group means."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    if vectors.shape[0] != partition.n:
-        raise ValueError(
-            f"vector block has {vectors.shape[0]} rows, partition covers {partition.n}"
-        )
-    means = partition.group_means(vectors)
-    residual = vectors - means[partition.assignment]
+    residual = vectors - partition.group_means(vectors)[partition.assignment]
     return float(np.sum(residual * residual))
+
+
+def _as_points(x) -> np.ndarray:
+    """A 2-d float block of points; a vector is that many 1-d points."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or 2-d block of points, got {x.shape}")
+    return x[:, None] if x.ndim == 1 else x
 
 
 @dataclass(frozen=True)
@@ -204,7 +205,7 @@ def kmeans(
     (restarts, points, columns) array; the result is bit-equal to running
     each restart on its own, whatever the block size.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = _as_points(points)
     m = points.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k={k} must be between 1 and the number of points {m}")
@@ -244,7 +245,7 @@ def best_eep_partition(
     ``k`` groups minimizes exactly the squared projection error, so the
     returned partition is the best of the sampled k-means solutions.
     """
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    vectors = _as_points(vectors)
     n = vectors.shape[0]
     if not 2 <= k <= n - 1:
         raise ValueError(f"k={k} must be between 2 and n-1={n - 1}")

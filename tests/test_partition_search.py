@@ -116,7 +116,8 @@ def _sum_cases():
             block = rng.standard_normal((n, d + 3))[:, :d]
         else:
             # duplicate rows and signed zeros
-            block = rng.integers(-1, 2, (n, d)) * np.array([-0.0, 1.5, 3.0])[rng.integers(0, 3, (n, d))]
+            values = np.array([-0.0, 1.5, 3.0])[rng.integers(0, 3, (n, d))]
+            block = rng.integers(-1, 2, (n, d)) * values
             block[rng.integers(0, n, n // 2)] = block[0]
         k = int(rng.integers(1, n + 1))
         labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
@@ -132,6 +133,35 @@ class TestGroupSums:
             assert p.group_means(block).tobytes() == means.tobytes()
             err = _add_at_objective(block, p.assignment, p.k)
             assert projection_error(p, block) == err
+
+
+class TestVectorIsOneColumn:
+    """A length-m vector is one column: m one-dimensional points."""
+
+    x = np.array([1.0, 2.0, 5.0, 7.0])
+
+    def test_group_means(self):
+        p = Partition.from_labels([0, 0, 1, 1])
+        np.testing.assert_array_equal(p.group_means(self.x), [1.5, 6.0])
+        assert projection_error(p, self.x) == 2.5
+        with pytest.raises(ValueError, match="vector or 2-d block"):
+            p.group_means(self.x.reshape(4, 1, 1))
+
+    def test_kmeans(self):
+        res = kmeans(self.x, 2, seed=0)
+        np.testing.assert_array_equal(res.partition.assignment, [0, 0, 1, 1])
+        assert res.objective == 2.5
+        single = kmeans(self.x, 1, seed=0)
+        assert single.partition.n == 4
+        assert single.objective == projection_error(Partition.single_group(4), self.x)
+        with pytest.raises(ValueError, match="vector or 2-d block"):
+            kmeans(self.x.reshape(4, 1, 1), 2)
+
+    def test_best_eep_partition(self):
+        part = best_eep_partition(self.x, 2, seed=0)
+        np.testing.assert_array_equal(part.assignment, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="vector or 2-d block"):
+            best_eep_partition(self.x.reshape(4, 1, 1), 2)
 
 
 class TestKMeans:
