@@ -1,23 +1,30 @@
-"""Bethe Hessian group counts and finest assignments on a near-threshold grid.
+"""Bethe Hessian counts, finest assignments and detect output on a
+near-threshold grid.
 
     python3 scripts/bethe_count_grid.py > counts.jsonl
 
 Run from any directory; the package is imported from this checkout's
 ``src/``.  For each graph of the grid it prints one JSON line: the graph
-spec, the detect seed, k-plus, k-minus and the sha256 of the assignment
-bytes that ``cluster_bethe_hessian`` returns.  Run it on two versions of
-the code and ``diff`` the outputs to show that a change to the eigensolver
-or the k-means leaves the finest level as it was, including the marginal
-counts near the detectability threshold.
+spec, the detect seed, k-plus, k-minus, the sha256 of the assignment
+bytes that ``cluster_bethe_hessian`` returns, the level sizes of
+``infer_hierarchy`` and the sha256 of its document as ``hierspect
+detect`` writes it (``dump_json`` of ``hierarchy_to_dict``).  Run it on
+two versions of the code and ``diff`` the outputs to show that a change
+to the eigensolver, the k-means or the candidate scoring leaves the output
+as it was, including the marginal counts near the detectability threshold.
 
-The grid (27 graphs, all above the dense cutoff, so on the ARPACK path):
+The grid (30 graphs; all but the flat ones above the dense cutoff, so on
+the ARPACK path):
 
 * assortative and disassortative 2/4/8, n = 2^12, degree 30, SNR 1.5, 2
   and 3, graph seeds 0-2, detect seed = graph seed + 7;
 * Erdos-Renyi, n = 2000, degree 20, graph seeds 40-44, detect seed =
   graph seed - 37 (the ER half of acceptance criterion 9);
 * symmetric 3/9/27, n = 3^7, degree 20, SNR 2 and 4, graph seeds 0-1,
-  detect seed = graph seed + 7.
+  detect seed = graph seed + 7;
+* flat, n = 640, 64 groups, degree 10, SNR 8, graph seeds 0-2, detect
+  seed = graph seed + 7 (the dense path, where candidate scoring runs
+  most).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -34,7 +42,9 @@ from hierspect import (  # noqa: E402
     cluster_bethe_hessian,
     generate_hierarchical,
     generate_planted_partition,
+    infer_hierarchy,
 )
+from hierspect.serialize import dump_json, hierarchy_to_dict  # noqa: E402
 
 
 def grid():
@@ -53,15 +63,30 @@ def grid():
             spec = SynthSpec(model="symmetric", n=3**7, snr=snr, avg_degree=20.0,
                              schedule=(3, 9, 27), seed=seed)
             yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+    for seed in range(3):
+        spec = SynthSpec(model="flat", n=640, snr=8.0, avg_degree=10.0,
+                         schedule=(64,), seed=seed)
+        yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+
+
+def detect_json_sha256(result, seed: int, directory: Path) -> str:
+    """sha256 of the bytes ``dump_json`` writes for the detection's document."""
+    path = directory / "detect.json"
+    dump_json(hierarchy_to_dict(result, seed=seed), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> None:
-    for spec, graph, detect_seed in grid():
-        res = cluster_bethe_hessian(graph, seed=detect_seed)
-        digest = hashlib.sha256(res.partition.assignment.tobytes()).hexdigest()
-        row = {"spec": spec, "detect_seed": detect_seed, "k_plus": res.k_plus,
-               "k_minus": res.k_minus, "assignment_sha256": digest}
-        print(json.dumps(row, sort_keys=True), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec, graph, detect_seed in grid():
+            res = cluster_bethe_hessian(graph, seed=detect_seed)
+            digest = hashlib.sha256(res.partition.assignment.tobytes()).hexdigest()
+            result = infer_hierarchy(graph, seed=detect_seed)
+            row = {"spec": spec, "detect_seed": detect_seed, "k_plus": res.k_plus,
+                   "k_minus": res.k_minus, "assignment_sha256": digest,
+                   "levels": [level.k for level in result.levels],
+                   "detect_sha256": detect_json_sha256(result, detect_seed, Path(tmp))}
+            print(json.dumps(row, sort_keys=True), flush=True)
 
 
 if __name__ == "__main__":

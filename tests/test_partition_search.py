@@ -266,12 +266,18 @@ def _reference_lloyd(points, k, rng):
     return labels
 
 
+def _reference_relabel(labels):
+    """First-occurrence relabelling: the first point is group 0, and so on."""
+    first = {}
+    return np.array([first.setdefault(g, len(first)) for g in labels.tolist()], dtype=np.int64)
+
+
 def reference_kmeans(points, k, restarts, seed, stream=substream):
     """One restart at a time, with ``Generator.choice`` seeding."""
     best_labels, best_obj, best_key = None, np.inf, None
     for ridx in range(restarts):
         labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
-        labels = ps._relabel_first_occurrence(labels)
+        labels = _reference_relabel(labels)
         obj = _add_at_objective(points, labels, k)
         key = tuple(labels.tolist())
         if obj < best_obj or (obj == best_obj and key < best_key):
