@@ -8,18 +8,16 @@ is constant within each group.  Minimizing it over partitions with ``k``
 groups is the same problem as k-means on the rows of ``V``, which is how
 ``best_eep_partition`` searches for approximately equitable partitions.
 ``projection_error``, summed by ``Partition.group_means``, is the one
-objective: perturbation scoring and every ``kmeans`` candidate call it.  The
+objective: perturbation scoring and every ``kmeans`` restart call it.  The
 batched Lloyd centres are summed by ``_cluster_sums``.
 
-``kmeans`` scores every partition of a small input, which gives the exact
-optimum that Lloyd's local optima can miss.  Otherwise it advances its
-restarts in lockstep, as (restarts, points, ...) arrays, in blocks bounded
-by ``BUDGET`` elements.  Every restart keeps its own random substream and
-draws from it in the same order as when run alone, and every per-restart
-reduction keeps its order, so the result is bit-for-bit the one of running
-the restarts one at a time.  Both sums are weighted ``bincount``s that add
-each cell's points in point order, starting from 0.0, so they agree bit
-for bit.
+``kmeans`` advances its restarts in lockstep, as (restarts, points, ...)
+arrays, in blocks bounded by ``BUDGET`` elements.  Every restart keeps its
+own random substream and draws from it in the same order as when run
+alone, and every per-restart reduction keeps its order, so the result is
+bit-for-bit the one of running the restarts one at a time.  Both sums are
+weighted ``bincount``s that add each cell's points in point order, starting
+from 0.0, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -192,56 +190,6 @@ def _lloyd_block(
     return result
 
 
-def _all_partitions(m: int, k: int, limit: int) -> list[np.ndarray] | None:
-    """Every partition of ``m`` points into ``k`` groups as first-occurrence
-    labels, in lexicographic order; ``None`` if there are more than ``limit``.
-
-    For ``1 < k < m`` there are at least ``m (m - 1) / 2`` partitions (the
-    count for ``k = m - 1``, the smaller end of the unimodal Stirling
-    numbers), which rules out large inputs before any is listed.
-    """
-    if k == 1:
-        return [np.zeros(m, dtype=np.int64)]
-    if k == m:
-        return [np.arange(m)]
-    if m * (m - 1) // 2 > limit:
-        return None
-    found: list[np.ndarray] = []
-    labels = np.zeros(m, dtype=np.int64)
-
-    def fill(i: int, used: int) -> bool:
-        if i == m:
-            found.append(labels.copy())
-            return len(found) <= limit
-        # a new group only while enough points remain to open the rest
-        for g in range(min(used + 1, k)):
-            opened = used + (g == used)
-            if opened + m - 1 - i >= k:
-                labels[i] = g
-                if not fill(i + 1, opened):
-                    return False
-        return True
-
-    return found if fill(1, 1) else None
-
-
-def _lloyd_labels(points: np.ndarray, k: int, restarts: int, seed: int):
-    """First-occurrence labels of each restart's Lloyd result, in restart order."""
-    m = points.shape[0]
-    norms = np.sum(points * points, axis=1)
-    twice = 2.0 * points
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-    block = max(1, BUDGET // (m * max(k, trials)))
-    for start in range(0, restarts, block):
-        rngs = [
-            substream(seed, "kmeans", ridx)
-            for ridx in range(start, min(start + block, restarts))
-        ]
-        centers = _seed_block(points, norms, twice, k, trials, rngs)
-        for labels in _lloyd_block(points, norms, twice, centers):
-            yield _relabel_first_occurrence(labels)
-
-
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -256,12 +204,6 @@ def kmeans(
     lockstep, in blocks of at most ``BUDGET`` elements of the largest
     (restarts, points, columns) array; the result is bit-equal to running
     each restart on its own, whatever the block size.
-
-    When scoring every partition into ``k`` groups reads no more than
-    ``BUDGET`` elements (partitions times points times columns), every
-    partition is scored instead, so small inputs get the exact optimum,
-    which Lloyd's local optima can miss; ``restarts`` and ``seed`` are then
-    unused.
     """
     points = _as_points(points)
     m = points.shape[0]
@@ -269,18 +211,25 @@ def kmeans(
         raise ValueError(f"k={k} must be between 1 and the number of points {m}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    candidates = _all_partitions(m, k, BUDGET // max(points.size, 1))
-    if candidates is None:
-        candidates = _lloyd_labels(points, k, restarts, seed)
+    norms = np.sum(points * points, axis=1)
+    twice = 2.0 * points
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    block = max(1, BUDGET // (m * max(k, trials)))
     best = None
     best_obj = np.inf
     best_key = None
-    for labels in candidates:
-        partition = Partition.from_labels(labels)
-        obj = projection_error(partition, points)
-        key = tuple(partition.assignment.tolist())
-        if obj < best_obj or (obj == best_obj and key < best_key):
-            best, best_obj, best_key = partition, obj, key
+    for start in range(0, restarts, block):
+        rngs = [
+            substream(seed, "kmeans", ridx)
+            for ridx in range(start, min(start + block, restarts))
+        ]
+        centers = _seed_block(points, norms, twice, k, trials, rngs)
+        for labels in _lloyd_block(points, norms, twice, centers):
+            partition = Partition.from_labels(_relabel_first_occurrence(labels))
+            obj = projection_error(partition, points)
+            key = tuple(partition.assignment.tolist())
+            if obj < best_obj or (obj == best_obj and key < best_key):
+                best, best_obj, best_key = partition, obj, key
     return KMeansResult(partition=best, objective=best_obj)
 
 

@@ -272,42 +272,12 @@ def _reference_relabel(labels):
     return np.array([first.setdefault(g, len(first)) for g in labels.tolist()], dtype=np.int64)
 
 
-def _stirling2(m, k):
-    """Number of partitions of m items into k non-empty groups."""
-    row = [1] + [0] * k
-    for _ in range(m):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, k + 1)]
-    return row[k]
-
-
-def _reference_partitions(m, k):
-    """Every labelling with first occurrences in order and exactly k groups,
-    grown one point at a time from the prefixes that can still reach k."""
-    rows = [[0]]
-    for i in range(1, m):
-        rows = [
-            row + [g]
-            for row in rows
-            for g in range(min(max(row) + 2, k))
-            if max(max(row), g) + 1 + m - 1 - i >= k
-        ]
-    return [np.array(row, dtype=np.int64) for row in sorted(rows) if max(row) == k - 1]
-
-
 def reference_kmeans(points, k, restarts, seed, stream=substream):
-    """Every partition when scoring them all reads at most ``BUDGET``
-    elements; otherwise one restart at a time, with ``Generator.choice``
-    seeding."""
-    m = points.shape[0]
-    if _stirling2(m, k) * points.size <= ps.BUDGET:
-        candidates = _reference_partitions(m, k)
-    else:
-        candidates = (
-            _reference_relabel(_reference_lloyd(points, k, stream(seed, "kmeans", ridx)))
-            for ridx in range(restarts)
-        )
+    """One restart at a time, with ``Generator.choice`` seeding."""
     best_labels, best_obj, best_key = None, np.inf, None
-    for labels in candidates:
+    for ridx in range(restarts):
+        labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
+        labels = _reference_relabel(labels)
         obj = _add_at_objective(points, labels, k)
         key = tuple(labels.tolist())
         if obj < best_obj or (obj == best_obj and key < best_key):
@@ -411,17 +381,6 @@ class TestDuality:
         best, _ = brute_force_min_projection_error(v, 2)
         res = kmeans(v, 2, restarts=10, seed=seed)
         assert res.objective <= best + 1e-10
-
-    @pytest.mark.parametrize("seed", [89, 2197, 5340, 38730])
-    def test_small_inputs_are_exact_where_lloyd_misses(self, seed):
-        # inputs of the property test on which best-of-10 Lloyd stops in a
-        # local optimum above the brute-force minimum
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal((int(rng.integers(4, 8)), 2))
-        best, labels = brute_force_min_projection_error(v, 2)
-        res = kmeans(v, 2, restarts=10, seed=seed)
-        assert res.objective == best
-        assert res.partition.assignment.tolist() == list(labels)
 
 
 class TestBestEEPPartition:
