@@ -159,12 +159,10 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--z", type=click.IntRange(min=1), default=100, show_default=True,
               help="Perturbation samples per level.")
-@click.option("--restarts", type=click.IntRange(min=1), default=10, show_default=True,
-              help="k-means restarts.")
-def cmd_detect(edges_path, out_path, seed, z, restarts):
+def cmd_detect(edges_path, out_path, seed, z):
     """Detect the community hierarchy of an edge-list graph."""
     graph = read_edge_list(edges_path)
-    config = DetectionConfig(z=z, kmeans_restarts=restarts)
+    config = DetectionConfig(z=z)
     result = infer_hierarchy(graph, config=config, seed=seed)
     dump_json(hierarchy_to_dict(result, seed=seed), out_path)
     counts = ", ".join(str(level.k) for level in result.levels)
@@ -250,13 +248,11 @@ def _benchmark_rep(task: dict) -> dict:
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="results.csv", show_default=True)
 @click.option("--z", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--restarts", type=click.IntRange(min=1), default=10, show_default=True)
-def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_path,
-                  z, restarts):
+def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_path, z):
     """Sweep SNR values with repetitions and write a CSV of scores."""
     schedule_t = _parse_schedule(schedule or DEFAULT_SCHEDULES[model])
     snr_values = _parse_snr_range(snr_range)
-    config = DetectionConfig(z=z, kmeans_restarts=restarts)
+    config = DetectionConfig(z=z)
     tasks = []
     for snr_idx, snr in enumerate(snr_values):
         for rep in range(reps):

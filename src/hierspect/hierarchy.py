@@ -155,18 +155,19 @@ def identify_partitions_and_errors(
     omega: AffinityMatrix,
     z: int = 100,
     seed: int = 0,
-    restarts: int = 10,
 ) -> LevelCandidates:
     """Propose one sub-partition per size and score each against perturbations.
 
     Treats the affinity matrix as a weighted graph on its ``k`` groups.
     For every size ``r`` in ``2..k-1`` the rows of the first ``r``
-    random-walk eigenvectors are clustered; the single-group and identity
-    partitions cover ``r = 1`` and ``r = k``.  Each candidate's projection
-    error is then averaged over ``z`` bootstrap perturbations of the
-    affinity matrix, each entry moved at the scale of its own estimation
-    noise (see ``bootstrap_perturb_affinity``): robust (non-degenerate)
-    partitions keep small errors under perturbation.  Below three groups
+    random-walk eigenvectors are split into ``r`` groups by
+    ``best_eep_partition`` (Ward's linkage refined by Hartigan moves, with
+    no seed); the single-group and identity partitions cover ``r = 1`` and
+    ``r = k``, and ``seed`` drives the perturbations alone.  Each
+    candidate's projection error is then averaged over ``z`` bootstrap
+    perturbations of the affinity matrix, each entry moved at the scale of
+    its own estimation noise (see ``bootstrap_perturb_affinity``): robust
+    (non-degenerate) partitions keep small errors under perturbation.  Below three groups
     there is no size to test and every error is zero.
     """
     if z < 1:
@@ -181,14 +182,7 @@ def identify_partitions_and_errors(
         )
     _, vectors = structural_eigenvectors(omega.values)
     for r in range(2, k):
-        partitions.append(
-            best_eep_partition(
-                vectors[:, :r],
-                r,
-                restarts=restarts,
-                seed=substream_seed(seed, "subpartition", r),
-            )
-        )
+        partitions.append(best_eep_partition(vectors[:, :r], r))
     partitions.append(Partition.identity(k))
     errors = np.zeros(k)
     for zeta in range(z):
@@ -295,11 +289,10 @@ class DetectionConfig:
     """Tunable parameters of hierarchy detection.
 
     ``z`` is the number of bootstrap perturbations that score each level's
-    candidates; ``kmeans_restarts`` applies to every k-means run.
+    candidates.
     """
 
     z: int = 100
-    kmeans_restarts: int = 10
 
 
 @dataclass(frozen=True)
@@ -344,9 +337,7 @@ def infer_hierarchy(
     """
     if config is None:
         config = DetectionConfig()
-    bethe = cluster_bethe_hessian(
-        graph, seed=substream_seed(seed, "bethe"), restarts=config.kmeans_restarts
-    )
+    bethe = cluster_bethe_hessian(graph, seed=substream_seed(seed, "bethe"))
     finest = bethe.partition
     levels = [
         Level(
@@ -363,7 +354,6 @@ def infer_hierarchy(
             current.affinity,
             z=config.z,
             seed=substream_seed(seed, "identify", len(levels)),
-            restarts=config.kmeans_restarts,
         )
         accepted = find_relevant_minima(candidates.mean_errors)
         base_fit = fit_msle(candidates.mean_errors, null_curve(current.k))

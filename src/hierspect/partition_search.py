@@ -5,19 +5,15 @@ The squared projection error of a partition ``H`` against a vector block
 ``V`` is ``||(I - H H^+) V||_F^2``: the squared residual of ``V`` after
 removing group-wise means.  It is zero exactly when every column of ``V``
 is constant within each group.  Minimizing it over partitions with ``k``
-groups is the same problem as k-means on the rows of ``V``, which is how
-``best_eep_partition`` searches for approximately equitable partitions.
+groups is the same problem as k-means on the rows of ``V``.
 ``projection_error``, summed by ``Partition.group_means``, is the one
-objective: perturbation scoring and every ``kmeans`` restart call it.  The
-batched Lloyd centres are summed by ``_cluster_sums``.
+objective: perturbation scoring and every ``kmeans`` restart call it.
 
-``kmeans`` advances its restarts in lockstep, as (restarts, points, ...)
-arrays, in blocks bounded by ``BUDGET`` elements.  Every restart keeps its
-own random substream and draws from it in the same order as when run
-alone, and every per-restart reduction keeps its order, so the result is
-bit-for-bit the one of running the restarts one at a time.  Both sums are
-weighted ``bincount``s that add each cell's points in point order, starting
-from 0.0, so they agree bit for bit.
+Two searches minimize it.  ``best_eep_partition`` proposes the candidates
+of the coarser levels without a seed: Ward's greedy merging of the same
+squared error, cut at ``k`` groups, then Hartigan single-point moves to a
+local minimum.  ``kmeans`` clusters the finest level: the best of seeded
+k-means++ restarts of Lloyd's algorithm.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ __all__ = ["projection_error", "kmeans", "best_eep_partition", "KMeansResult"]
 
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
-# Element budget of the largest (restarts, points, columns) array of a block.
-BUDGET = 2**16
 
 
 def projection_error(partition: Partition, vectors: np.ndarray) -> float:
@@ -68,85 +62,47 @@ def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
 
 
 def _sq_dist(norms: np.ndarray, twice: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances of every point to each restart's centers, (R, m, c).
+    """Squared distances of every point to every center, (m, c).
 
     ``norms`` and ``twice`` are the points' squared row norms and the points
-    doubled; each restart's slice is the same 2-D matrix product as for a
-    single restart, so the batch is bit-equal to per-restart evaluation.
+    doubled, computed once per ``kmeans`` call.
     """
-    d2 = (
-        norms[:, None]
-        - twice @ centers.transpose(0, 2, 1)
-        + np.sum(centers * centers, axis=2)[:, None, :]
-    )
+    d2 = norms[:, None] - twice @ centers.T + np.sum(centers * centers, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
 
 
-def _seed_block(
-    points: np.ndarray,
-    norms: np.ndarray,
-    twice: np.ndarray,
-    k: int,
-    trials: int,
-    rngs: list[np.random.Generator],
+def _seed(
+    points: np.ndarray, norms: np.ndarray, twice: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Greedy distance-weighted (k-means++ style) seeding of a block of restarts.
+    """Greedy distance-weighted (k-means++ style) seeding of one restart.
 
     Each step samples a few distance-weighted candidates and keeps the one
     that reduces the seeding potential most; this matters when k is large
-    relative to the number of distinct point locations.  Every restart
-    draws from its own generator in a fixed order; the weighted draw is
-    ``Generator.choice``'s inverse-CDF sampling written out, so it consumes
-    and returns exactly what ``choice(m, trials, p=d2 / d2.sum())`` would.
+    relative to the number of distinct point locations.
     """
     m = points.shape[0]
-    first = points[[rng.integers(m) for rng in rngs]]
-    centers = np.empty((len(rngs), k, points.shape[1]))
-    centers[:, 0] = first
-    # one restart at a time: this sum's order follows the input's layout
-    d2 = np.stack([np.sum((points - c) ** 2, axis=1) for c in first])
-    rows = np.arange(len(rngs))
-    candidates = np.empty((len(rngs), trials), dtype=np.int64)
+    trials = 2 + int(np.log(k)) if k > 1 else 1
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(m)]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for j in range(1, k):
-        total = d2.sum(axis=1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # rows with zero potential turn to NaN here and are not read
-            cdf = np.cumsum(d2 / total[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-        for i, rng in enumerate(rngs):
-            if total[i] <= 0.0:
-                # one uniform draw; equal columns keep the first under argmin
-                candidates[i] = rng.integers(m, size=1)
-            else:
-                candidates[i] = np.searchsorted(cdf[i], rng.random(trials), side="right")
-        cand_d2 = np.minimum(d2[:, :, None], _sq_dist(norms, twice, points[candidates]))
-        best = np.argmin(cand_d2.sum(axis=1), axis=1)
-        centers[:, j] = points[candidates[rows, best]]
-        d2 = cand_d2[rows, :, best]
+        total = d2.sum()
+        if total <= 0.0:
+            # every point sits on a center; equal columns keep the first under argmin
+            candidates = rng.integers(m, size=1)
+        else:
+            candidates = rng.choice(m, size=trials, p=d2 / total)
+        cand_d2 = np.minimum(d2[:, None], _sq_dist(norms, twice, points[candidates]))
+        best = np.argmin(cand_d2.sum(axis=0))
+        centers[j] = points[candidates[best]]
+        d2 = cand_d2[:, best]
     return centers
-
-
-def _cluster_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    """Per-cluster sums of the points for each restart's labels, (R, k, d).
-
-    One weighted ``bincount`` per column over the flattened (restart,
-    cluster) cells; it adds each cell's points in point order, from 0.0.
-    Per column, not per (cell, column) as in ``group_means``: at the finest
-    level's size (19,683 points, 27 columns) it takes half the time.
-    """
-    n_restarts = labels.shape[0]
-    cells = (labels + k * np.arange(n_restarts)[:, None]).ravel()
-    columns = np.tile(points, (n_restarts, 1)).T
-    sums = np.empty((points.shape[1], n_restarts * k))
-    for c, column in enumerate(columns):
-        sums[c] = np.bincount(cells, weights=column, minlength=n_restarts * k)
-    return sums.T.reshape(n_restarts, k, -1)
 
 
 def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> None:
     """Hand each empty cluster the point farthest from its current center,
-    taken from a cluster with spare members (in place, one restart)."""
+    taken from a cluster with spare members (in place)."""
     assigned_d2 = d2[np.arange(labels.size), labels]
     for j in np.flatnonzero(counts == 0):
         candidates = np.flatnonzero(counts[labels] > 1)
@@ -157,37 +113,23 @@ def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> Non
         assigned_d2[idx] = 0.0
 
 
-def _block_counts(labels: np.ndarray, k: int) -> np.ndarray:
-    """Cluster sizes of each restart's labels, (R, k)."""
-    offsets = k * np.arange(labels.shape[0])[:, None]
-    counts = np.bincount((labels + offsets).ravel(), minlength=labels.shape[0] * k)
-    return counts.reshape(-1, k)
-
-
-def _lloyd_block(
+def _lloyd(
     points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np.ndarray
 ) -> np.ndarray:
-    """Lloyd iterations for a block of restarts; a restart leaves the batch
-    as soon as its labels stop changing.  Returns labels, (R, m)."""
-    n_restarts, k, _ = centers.shape
-    m = points.shape[0]
-    result = np.empty((n_restarts, m), dtype=np.int64)
-    active = np.arange(n_restarts)
-    labels = np.full((n_restarts, m), -1, dtype=np.int64)
+    """Lloyd iterations from ``centers`` until the labels stop changing."""
+    k = centers.shape[0]
+    labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(MAX_ITER):
         d2 = _sq_dist(norms, twice, centers)
-        new_labels = np.argmin(d2, axis=2)
-        counts = _block_counts(new_labels, k)
-        for i in np.flatnonzero((counts == 0).any(axis=1)):
-            _repair_empty(new_labels[i], counts[i], d2[i])
-        done = (new_labels == labels).all(axis=1)
-        result[active[done]] = new_labels[done]
-        active, labels = active[~done], new_labels[~done]
-        if not active.size:
-            return result
-        centers = _cluster_sums(points, labels, k) / _block_counts(labels, k)[:, :, None]
-    result[active] = labels
-    return result
+        new_labels = np.argmin(d2, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        if not counts.all():
+            _repair_empty(new_labels, counts, d2)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        centers = Partition.from_labels(labels).group_means(points)
+    return labels
 
 
 def kmeans(
@@ -198,12 +140,10 @@ def kmeans(
 ) -> KMeansResult:
     """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
-    Deterministic for a fixed seed: each restart draws from its own
-    substream, and equal-objective ties break toward the lexicographically
-    smallest (first-occurrence-relabeled) assignment.  Restarts run in
-    lockstep, in blocks of at most ``BUDGET`` elements of the largest
-    (restarts, points, columns) array; the result is bit-equal to running
-    each restart on its own, whatever the block size.
+    The restarts run one after another; each seeds its centers from its
+    own substream and runs Lloyd's iterations from them.  Deterministic for
+    a fixed seed: equal-objective ties break toward the lexicographically
+    smallest (first-occurrence-relabeled) assignment.
     """
     points = _as_points(points)
     m = points.shape[0]
@@ -213,40 +153,98 @@ def kmeans(
         raise ValueError("restarts must be >= 1")
     norms = np.sum(points * points, axis=1)
     twice = 2.0 * points
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-    block = max(1, BUDGET // (m * max(k, trials)))
     best = None
     best_obj = np.inf
     best_key = None
-    for start in range(0, restarts, block):
-        rngs = [
-            substream(seed, "kmeans", ridx)
-            for ridx in range(start, min(start + block, restarts))
-        ]
-        centers = _seed_block(points, norms, twice, k, trials, rngs)
-        for labels in _lloyd_block(points, norms, twice, centers):
-            partition = Partition.from_labels(_relabel_first_occurrence(labels))
-            obj = projection_error(partition, points)
-            key = tuple(partition.assignment.tolist())
-            if obj < best_obj or (obj == best_obj and key < best_key):
-                best, best_obj, best_key = partition, obj, key
+    for ridx in range(restarts):
+        centers = _seed(points, norms, twice, k, substream(seed, "kmeans", ridx))
+        labels = _lloyd(points, norms, twice, centers)
+        partition = Partition.from_labels(_relabel_first_occurrence(labels))
+        obj = projection_error(partition, points)
+        key = tuple(partition.assignment.tolist())
+        if obj < best_obj or (obj == best_obj and key < best_key):
+            best, best_obj, best_key = partition, obj, key
     return KMeansResult(partition=best, objective=best_obj)
 
 
-def best_eep_partition(
-    vectors: np.ndarray,
-    k: int,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-) -> Partition:
-    """Partition minimizing the projection error against ``vectors``.
+def _ward_cut(points: np.ndarray, k: int) -> np.ndarray:
+    """Labels after the first ``m - k`` merges of Ward's linkage, numbered
+    by each group's first point.
 
-    By the k-means duality, clustering the rows of the vector block into
-    ``k`` groups minimizes exactly the squared projection error, so the
-    returned partition is the best of the sampled k-means solutions.
+    Applies the merges in the linkage's row order, so exactly ``k`` groups
+    remain even where merge heights tie.
     """
-    vectors = _as_points(vectors)
-    n = vectors.shape[0]
+    # scipy.cluster and scipy.spatial add about 0.1 s to ``import hierspect``;
+    # imported here, they cost nothing to commands that never reach stage two
+    from scipy.cluster.hierarchy import ward
+
+    m = points.shape[0]
+    groups = {i: [i] for i in range(m)}
+    for i, (a, b) in enumerate(ward(points)[: m - k, :2].astype(np.int64)):
+        groups[m + i] = groups.pop(a) + groups.pop(b)
+    labels = np.empty(m, dtype=np.int64)
+    for g, members in enumerate(sorted(groups.values(), key=min)):
+        labels[members] = g
+    return labels
+
+
+def _hartigan(points: np.ndarray, labels: np.ndarray) -> None:
+    """Hartigan single-point moves to a local minimum of the squared error
+    (in place).
+
+    Moving point i from group a to group b lowers the error exactly when
+    ``n_b/(n_b+1)·|x_i - mu_b|^2 < n_a/(n_a-1)·|x_i - mu_a|^2``.  The points
+    are visited in cyclic index order, each moving to the group of least
+    cost (the lowest label on ties) when that cost is strictly below the
+    saving of leaving its own group; a point alone in its group stays.  The
+    loop ends when no point can move.  Each move strictly lowers the error;
+    the bound on moves only guards against rounding cycling between
+    near-equal moves.
+    """
+    from scipy.spatial.distance import cdist
+
+    m = points.shape[0]
+    rows = np.arange(m)
+    partition = Partition.from_labels(labels)
+    means = partition.group_means(points)
+    counts = partition.group_sizes.astype(np.float64)
+    d2 = cdist(points, means, "sqeuclidean")
+    start = 0
+    for _ in range(MAX_ITER * m):
+        n_own = counts[labels]
+        leave = np.where(n_own > 1, n_own / np.maximum(n_own - 1, 1), 0.0) * d2[rows, labels]
+        join = counts / (counts + 1) * d2
+        join[rows, labels] = np.inf
+        target = np.argmin(join, axis=1)
+        movers = np.flatnonzero(join[rows, target] < leave)
+        if not movers.size:
+            return
+        # the first mover from ``start`` on is the point that a sequential
+        # pass would move next: the points before it see the same means
+        later = movers[movers >= start]
+        i = later[0] if later.size else movers[0]
+        moved = [labels[i], target[i]]
+        labels[i] = target[i]
+        counts[moved] += (-1, 1)
+        means[moved] = [points[labels == g].mean(axis=0) for g in moved]
+        d2[:, moved] = cdist(points, means[moved], "sqeuclidean")
+        start = i + 1
+
+
+def best_eep_partition(vectors: np.ndarray, k: int) -> Partition:
+    """Partition of the rows of ``vectors`` into ``k`` groups with a locally
+    minimal projection error.
+
+    By the k-means duality the projection error is the squared error of
+    the rows around their group means.  Ward's linkage merges rows greedily
+    by the least increase of that error; its cut at ``k`` groups is refined
+    by Hartigan moves until no single row can move to lower it.  There is
+    no seed: the result depends on ``vectors`` and ``k`` alone.
+    """
+    points = _as_points(vectors)
+    n = points.shape[0]
     if not 2 <= k <= n - 1:
         raise ValueError(f"k={k} must be between 2 and n-1={n - 1}")
-    return kmeans(vectors, k, restarts=restarts, seed=seed).partition
+    labels = _ward_cut(points, k)
+    _hartigan(points, labels)
+    return Partition.from_labels(_relabel_first_occurrence(labels))

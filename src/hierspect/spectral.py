@@ -191,9 +191,7 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
     return count, res.eigenvectors
 
 
-def cluster_bethe_hessian(
-    graph: Graph, seed: int = 0, restarts: int = 10
-) -> BetheClustering:
+def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     """Estimate the number of groups and cluster nodes at the finest scale.
 
     Sets ``r`` to the square root of the average degree, counts the
@@ -230,9 +228,7 @@ def cluster_bethe_hessian(
     if k_hat == 1:
         partition = Partition.single_group(graph.n)
     else:
-        partition = kmeans(
-            q, k_hat, restarts=restarts, seed=substream_seed(seed, "bh-kmeans")
-        ).partition
+        partition = kmeans(q, k_hat, seed=substream_seed(seed, "bh-kmeans")).partition
     return BetheClustering(
         k_hat=k_hat, partition=partition, r=r, k_plus=k_plus, k_minus=k_minus
     )

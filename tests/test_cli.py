@@ -216,9 +216,7 @@ class TestCountOptions:
         "argv",
         [
             ["detect", "--z", "0"],
-            ["detect", "--restarts", "0"],
             ["benchmark", *FLAT, "--z", "0"],
-            ["benchmark", *FLAT, "--restarts", "0"],
             ["benchmark", *FLAT, "--reps", "0"],
         ],
     )

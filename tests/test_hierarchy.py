@@ -327,6 +327,6 @@ class TestInferHierarchy:
             model="flat", n=160, snr=4.0, avg_degree=16.0, schedule=(16,), seed=12,
         )
         graph, _ = generate_hierarchical(spec)
-        res = infer_hierarchy(graph, config=DetectionConfig(z=5, kmeans_restarts=3), seed=16)
+        res = infer_hierarchy(graph, config=DetectionConfig(z=5), seed=16)
         assert res.levels[0].k >= 1
         assert res.diagnostics

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.hierarchy import cut_tree, ward
 
 import hierspect.partition_search as ps
 from hierspect import Partition, best_eep_partition, kmeans, projection_error
@@ -158,7 +159,7 @@ class TestVectorIsOneColumn:
             kmeans(self.x.reshape(4, 1, 1), 2)
 
     def test_best_eep_partition(self):
-        part = best_eep_partition(self.x, 2, seed=0)
+        part = best_eep_partition(self.x, 2)
         np.testing.assert_array_equal(part.assignment, [0, 0, 1, 1])
         with pytest.raises(ValueError, match="vector or 2-d block"):
             best_eep_partition(self.x.reshape(4, 1, 1), 2)
@@ -318,7 +319,8 @@ def _coarse_substream(seed, *tokens):
 
 
 class TestBatchedRestarts:
-    """Batched restarts equal one-restart-at-a-time runs bit for bit."""
+    """``kmeans`` equals the reference, which seeds with ``Generator.choice``,
+    bit for bit."""
 
     @staticmethod
     def assert_matches_reference(points, k, restarts, seed, stream=substream):
@@ -338,17 +340,36 @@ class TestBatchedRestarts:
                 points, k, restarts, seed, stream=_coarse_substream
             )
 
-    @pytest.mark.parametrize(
-        "m, k, restarts, block",
-        [(64, 40, 10, 10), (1000, 16, 7, 4), (2100, 16, 3, 1)],
-    )
-    def test_block_sizes(self, m, k, restarts, block):
-        # all restarts in one block; blocks of four then three; one per block
-        assert min(restarts, ps.BUDGET // (m * k)) == block
+    @pytest.mark.parametrize("m, k, restarts", [(64, 40, 10), (1000, 16, 7), (2100, 16, 3)])
+    def test_block_sizes(self, m, k, restarts):
         rng = np.random.default_rng(m)
         centers = rng.standard_normal((k, 3)) * 4.0
         points = centers[rng.integers(k, size=m)] + rng.standard_normal((m, 3))
         self.assert_matches_reference(points, k, restarts, seed=m + k)
+
+
+class TestRepairEmpty:
+    """An empty cluster takes the point farthest from its center, among the
+    points whose cluster has another member."""
+
+    @staticmethod
+    def repair(labels, assigned_d2, k):
+        labels = np.array(labels)
+        counts = np.bincount(labels, minlength=k)
+        d2 = np.zeros((labels.size, k))
+        d2[np.arange(labels.size), labels] = assigned_d2
+        ps._repair_empty(labels, counts, d2)
+        assert np.array_equal(counts, np.bincount(labels, minlength=k))
+        return labels.tolist()
+
+    def test_farthest_point_moves(self):
+        assert self.repair([0, 0, 0, 1, 1], [1.0, 5.0, 2.0, 3.0, 0.5], 3) == [0, 2, 0, 1, 1]
+
+    def test_two_empty_clusters_take_the_two_farthest(self):
+        assert self.repair([0, 0, 0, 0], [1.0, 4.0, 2.0, 3.0], 3) == [0, 1, 0, 2]
+
+    def test_a_single_member_is_not_taken(self):
+        assert self.repair([0, 1, 1, 1], [9.0, 1.0, 2.0, 3.0], 3) == [0, 1, 1, 2]
 
 
 class TestDuality:
@@ -389,10 +410,50 @@ class TestBestEEPPartition:
         truth = Partition.from_labels(labels)
         h = truth.indicator()
         q, _ = np.linalg.qr(h)
-        part = best_eep_partition(q, 3, seed=12)
+        part = best_eep_partition(q, 3)
         assert projection_error(part, q) <= 1e-20
         # same grouping up to labels
         assert len(set(zip(part.assignment, labels))) == 3
+
+    def test_exactly_k_groups_on_tied_rows(self):
+        points = np.array([[0.0, 0.0]] * 3 + [[1.0, 1.0]])
+        assert best_eep_partition(points, 3).k == 3
+        rng = np.random.default_rng(30)
+        for _ in range(50):
+            m = int(rng.integers(3, 13))
+            points = rng.integers(0, 2, (m, 2)).astype(np.float64)
+            for k in range(2, m):
+                assert best_eep_partition(points, k).k == k
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            m = int(rng.integers(3, 13))
+            yield rng.standard_normal((m, int(rng.integers(1, 4)))), int(rng.integers(2, m))
+
+    def test_no_single_point_move_lowers_the_error(self):
+        for points, k in self._cases():
+            part = best_eep_partition(points, k)
+            err = projection_error(part, points)
+            for i in np.flatnonzero(part.group_sizes[part.assignment] > 1):
+                for g in range(k):
+                    labels = part.assignment.copy()
+                    labels[i] = g
+                    moved = projection_error(Partition.from_labels(labels), points)
+                    assert moved >= err - 1e-12 * err
+
+    def test_no_worse_than_the_ward_cut(self):
+        for points, k in self._cases():
+            cut = Partition.from_labels(cut_tree(ward(points), n_clusters=k).ravel())
+            part = best_eep_partition(points, k)
+            assert projection_error(part, points) <= projection_error(cut, points)
+
+    def test_same_result_on_every_call(self):
+        for points, k in self._cases():
+            first = best_eep_partition(points, k).assignment
+            again = best_eep_partition(np.asfortranarray(points), k).assignment
+            assert first.tobytes() == again.tobytes()
 
     def test_k_bounds(self):
         v = np.zeros((5, 2))
