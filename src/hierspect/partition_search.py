@@ -13,10 +13,7 @@ Two searches minimize it.  ``best_eep_partition`` proposes the candidates
 of the coarser levels without a seed: Ward's greedy merging of the same
 squared error, cut at ``k`` groups, then Hartigan single-point moves to a
 local minimum.  ``kmeans`` clusters the finest level: the best of seeded
-k-means++ restarts of Lloyd's algorithm, each refined by the same
-Hartigan moves.  A Lloyd fixed point can still have a point whose move
-lowers the error; Hartigan's fixed points are a subset of Lloyd's
-(Telgarsky and Vattani, 2010).
+k-means++ restarts of Lloyd's algorithm.
 """
 
 from __future__ import annotations
@@ -118,12 +115,8 @@ def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> Non
 
 def _lloyd(
     points: np.ndarray, norms: np.ndarray, twice: np.ndarray, centers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Lloyd iterations from ``centers`` until the labels stop changing.
-
-    Returns the labels and, when they converged, the squared distances of
-    every point to every group's mean.
-    """
+) -> np.ndarray:
+    """Lloyd iterations from ``centers`` until the labels stop changing."""
     k = centers.shape[0]
     labels = np.full(points.shape[0], -1, dtype=np.int64)
     for _ in range(MAX_ITER):
@@ -133,10 +126,10 @@ def _lloyd(
         if not counts.all():
             _repair_empty(new_labels, counts, d2)
         if np.array_equal(new_labels, labels):
-            return labels, d2
+            break
         labels = new_labels
         centers = Partition.from_labels(labels).group_means(points)
-    return labels, None
+    return labels
 
 
 def kmeans(
@@ -145,12 +138,10 @@ def kmeans(
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
 ) -> KMeansResult:
-    """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding, each
-    restart refined by Hartigan single-point moves.
+    """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
 
     The restarts run one after another; each seeds its centers from its
-    own substream, runs Lloyd's iterations from them, then moves single
-    points while a move lowers the error.  Deterministic for
+    own substream and runs Lloyd's iterations from them.  Deterministic for
     a fixed seed: equal-objective ties break toward the lexicographically
     smallest (first-occurrence-relabeled) assignment.
     """
@@ -167,8 +158,7 @@ def kmeans(
     best_key = None
     for ridx in range(restarts):
         centers = _seed(points, norms, twice, k, substream(seed, "kmeans", ridx))
-        labels, d2 = _lloyd(points, norms, twice, centers)
-        _hartigan(points, labels, d2)
+        labels = _lloyd(points, norms, twice, centers)
         partition = Partition.from_labels(_relabel_first_occurrence(labels))
         obj = projection_error(partition, points)
         key = tuple(partition.assignment.tolist())
@@ -185,7 +175,7 @@ def _ward_cut(points: np.ndarray, k: int) -> np.ndarray:
     remain even where merge heights tie.
     """
     # scipy.cluster and scipy.spatial add about 0.1 s to ``import hierspect``;
-    # imported here, they cost nothing to commands that never cluster
+    # imported here, they cost nothing to commands that never reach stage two
     from scipy.cluster.hierarchy import ward
 
     m = points.shape[0]
@@ -198,14 +188,7 @@ def _ward_cut(points: np.ndarray, k: int) -> np.ndarray:
     return labels
 
 
-def _leave_saving(n_own: np.ndarray, d2_own: np.ndarray) -> np.ndarray:
-    """How much the error falls when a point leaves its group: n/(n-1)
-    times its squared distance to the group's mean, and nothing for a
-    point alone in its group."""
-    return np.where(n_own > 1, n_own / np.maximum(n_own - 1, 1), 0.0) * d2_own
-
-
-def _hartigan(points: np.ndarray, labels: np.ndarray, d2: np.ndarray | None = None) -> None:
+def _hartigan(points: np.ndarray, labels: np.ndarray) -> None:
     """Hartigan single-point moves to a local minimum of the squared error
     (in place).
 
@@ -217,14 +200,6 @@ def _hartigan(points: np.ndarray, labels: np.ndarray, d2: np.ndarray | None = No
     loop ends when no point can move.  Each move strictly lowers the error;
     the bound on moves only guards against rounding cycling between
     near-equal moves.
-
-    A move changes the means and sizes of two groups, so it reprices their
-    two columns of the costs and the savings of their members.  Each point
-    keeps a lower bound on its least cost, which the two new columns can
-    only lower; a point is priced over all groups again only while its
-    bound is below its saving.  ``d2``, the squared distances of the points
-    to the means of ``labels`` where the caller has them, spares the first
-    pricing.
     """
     from scipy.spatial.distance import cdist
 
@@ -233,36 +208,26 @@ def _hartigan(points: np.ndarray, labels: np.ndarray, d2: np.ndarray | None = No
     partition = Partition.from_labels(labels)
     means = partition.group_means(points)
     counts = partition.group_sizes.astype(np.float64)
-    if d2 is None:
-        d2 = cdist(points, means, "sqeuclidean")
-    join = counts / (counts + 1) * d2
-    join[rows, labels] = np.inf
-    bound = join.min(axis=1)
-    leave = _leave_saving(counts[labels], d2[rows, labels])
-    # column-major from here on: a move rewrites two columns
-    d2, join = np.asfortranarray(d2), np.asfortranarray(join)
+    d2 = cdist(points, means, "sqeuclidean")
     start = 0
     for _ in range(MAX_ITER * m):
-        near = np.flatnonzero(bound < leave)
-        bound[near] = join[near].min(axis=1)
-        movers = near[bound[near] < leave[near]]
+        n_own = counts[labels]
+        leave = np.where(n_own > 1, n_own / np.maximum(n_own - 1, 1), 0.0) * d2[rows, labels]
+        join = counts / (counts + 1) * d2
+        join[rows, labels] = np.inf
+        target = np.argmin(join, axis=1)
+        movers = np.flatnonzero(join[rows, target] < leave)
         if not movers.size:
             return
         # the first mover from ``start`` on is the point that a sequential
         # pass would move next: the points before it see the same means
         later = movers[movers >= start]
         i = later[0] if later.size else movers[0]
-        moved = [labels[i], np.argmin(join[i])]
-        labels[i] = moved[1]
+        moved = [labels[i], target[i]]
+        labels[i] = target[i]
         counts[moved] += (-1, 1)
         means[moved] = [points[labels == g].mean(axis=0) for g in moved]
         d2[:, moved] = cdist(points, means[moved], "sqeuclidean")
-        join[:, moved] = counts[moved] / (counts[moved] + 1) * d2[:, moved]
-        members = np.flatnonzero((labels == moved[0]) | (labels == moved[1]))
-        own = labels[members]
-        join[members, own] = np.inf
-        leave[members] = _leave_saving(counts[own], d2[members, own])
-        np.minimum(bound, join[:, moved].min(axis=1), out=bound)
         start = i + 1
 
 

@@ -28,27 +28,6 @@ def brute_force_min_projection_error(vectors, k):
     return best, best_labels
 
 
-def _small_cases(seed):
-    """Sixty random blocks of 3-12 points in 1-3 dimensions, each with a k
-    between 2 and m - 1."""
-    rng = np.random.default_rng(seed)
-    for _ in range(60):
-        m = int(rng.integers(3, 13))
-        yield rng.standard_normal((m, int(rng.integers(1, 4)))), int(rng.integers(2, m))
-
-
-def assert_no_single_point_move_lowers(part, points):
-    """No point whose group has another member lowers the projection error
-    by moving to another group."""
-    err = projection_error(part, points)
-    for i in np.flatnonzero(part.group_sizes[part.assignment] > 1):
-        for g in range(part.k):
-            labels = part.assignment.copy()
-            labels[i] = g
-            moved = projection_error(Partition.from_labels(labels), points)
-            assert moved >= err - 1e-12 * err
-
-
 class TestProjectionError:
     def test_identity_partition_is_zero(self):
         rng = np.random.default_rng(0)
@@ -225,17 +204,6 @@ class TestKMeans:
         np.testing.assert_array_equal(r1.partition.assignment, r2.partition.assignment)
         assert r1.objective == r2.objective
 
-    def test_no_single_point_move_lowers_the_objective(self):
-        for seed, (points, k) in enumerate(_small_cases(32)):
-            res = kmeans(points, k, restarts=3, seed=seed)
-            assert_no_single_point_move_lowers(res.partition, points)
-
-    def test_no_worse_than_lloyd_alone(self):
-        for seed, (points, k) in enumerate(_small_cases(33)):
-            runs = [_reference_lloyd(points, k, substream(seed, "kmeans", r)) for r in range(3)]
-            lloyd = min(_add_at_objective(points, labels, k) for labels, _ in runs)
-            assert kmeans(points, k, restarts=3, seed=seed).objective <= lloyd
-
     def test_labels_canonical_first_occurrence(self):
         rng = np.random.default_rng(7)
         pts = np.vstack([rng.normal(i * 10, 0.1, (5, 2)) for i in range(3)])
@@ -275,8 +243,6 @@ def _reference_init_plus_plus(points, k, rng):
 
 
 def _reference_lloyd(points, k, rng):
-    """Labels at Lloyd's fixed point, with the squared distances of every
-    point to every group's mean (None if the loop ran out)."""
     m = points.shape[0]
     centers = _reference_init_plus_plus(points, k, rng)
     labels = np.full(m, -1, dtype=np.int64)
@@ -295,10 +261,10 @@ def _reference_lloyd(points, k, rng):
                 counts[j] = 1
                 assigned_d2[idx] = 0.0
         if np.array_equal(new_labels, labels):
-            return labels, d2
+            break
         labels = new_labels
         centers = _add_at_means(points, labels, k)
-    return labels, None
+    return labels
 
 
 def _reference_relabel(labels):
@@ -308,12 +274,10 @@ def _reference_relabel(labels):
 
 
 def reference_kmeans(points, k, restarts, seed, stream=substream):
-    """One restart at a time, with ``Generator.choice`` seeding; each
-    restart's Lloyd labels are refined by the package's Hartigan moves."""
+    """One restart at a time, with ``Generator.choice`` seeding."""
     best_labels, best_obj, best_key = None, np.inf, None
     for ridx in range(restarts):
-        labels, d2 = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
-        ps._hartigan(np.asarray(points, dtype=np.float64), labels, d2)
+        labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
         labels = _reference_relabel(labels)
         obj = _add_at_objective(points, labels, k)
         key = tuple(labels.tolist())
@@ -355,8 +319,8 @@ def _coarse_substream(seed, *tokens):
 
 
 class TestBatchedRestarts:
-    """``kmeans`` equals the reference, which seeds with ``Generator.choice``
-    and runs its own Lloyd loop, bit for bit."""
+    """``kmeans`` equals the reference, which seeds with ``Generator.choice``,
+    bit for bit."""
 
     @staticmethod
     def assert_matches_reference(points, k, restarts, seed, stream=substream):
@@ -461,18 +425,32 @@ class TestBestEEPPartition:
             for k in range(2, m):
                 assert best_eep_partition(points, k).k == k
 
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            m = int(rng.integers(3, 13))
+            yield rng.standard_normal((m, int(rng.integers(1, 4)))), int(rng.integers(2, m))
+
     def test_no_single_point_move_lowers_the_error(self):
-        for points, k in _small_cases(31):
-            assert_no_single_point_move_lowers(best_eep_partition(points, k), points)
+        for points, k in self._cases():
+            part = best_eep_partition(points, k)
+            err = projection_error(part, points)
+            for i in np.flatnonzero(part.group_sizes[part.assignment] > 1):
+                for g in range(k):
+                    labels = part.assignment.copy()
+                    labels[i] = g
+                    moved = projection_error(Partition.from_labels(labels), points)
+                    assert moved >= err - 1e-12 * err
 
     def test_no_worse_than_the_ward_cut(self):
-        for points, k in _small_cases(31):
+        for points, k in self._cases():
             cut = Partition.from_labels(cut_tree(ward(points), n_clusters=k).ravel())
             part = best_eep_partition(points, k)
             assert projection_error(part, points) <= projection_error(cut, points)
 
     def test_same_result_on_every_call(self):
-        for points, k in _small_cases(31):
+        for points, k in self._cases():
             first = best_eep_partition(points, k).assignment
             again = best_eep_partition(np.asfortranarray(points), k).assignment
             assert first.tobytes() == again.tobytes()
