@@ -306,9 +306,6 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return EXIT_USAGE
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
     except click.ClickException as exc:
         exc.show()
         return EXIT_USAGE

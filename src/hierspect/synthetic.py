@@ -229,9 +229,7 @@ def generate_planted_partition(
     return sample_block_model(omega, sizes, seed=seed)
 
 
-def _leaf_count(branch: int, remaining: int, refine_all: bool) -> int:
-    if refine_all:
-        return branch**remaining
+def _leaf_count(branch: int, remaining: int) -> int:
     return 1 + remaining * (branch - 1)
 
 
@@ -284,7 +282,7 @@ def build_hierarchy_model(spec: SynthSpec) -> tuple[np.ndarray, np.ndarray, list
             spans = [(lo + i * leaves, lo + (i + 1) * leaves) for i in range(b)]
             recurse = [True] * b
         else:
-            head = _leaf_count(b, depth - level - 1, False)
+            head = _leaf_count(b, depth - level - 1)
             spans = [(lo, lo + head)]
             spans += [(lo + head + i, lo + head + i + 1) for i in range(b - 1)]
             recurse = [True] + [False] * (b - 1)
