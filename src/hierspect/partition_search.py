@@ -13,8 +13,7 @@ Two searches minimize it.  ``best_eep_partition`` proposes the candidates
 of the coarser levels without a seed: Ward's greedy merging of the same
 squared error, cut at ``k`` groups, then Hartigan single-point moves to a
 local minimum.  ``kmeans`` clusters the finest level: the best of seeded
-k-means++ restarts of Lloyd's algorithm, or the exact minimum when the
-points are few enough to score every grouping.
+k-means++ restarts of Lloyd's algorithm.
 """
 
 from __future__ import annotations
@@ -133,22 +132,6 @@ def _lloyd(
     return labels
 
 
-def _groupings(m: int, k: int):
-    """Labels of every partition of ``m`` points into exactly ``k`` groups,
-    each numbered by first occurrence, in lexicographic order."""
-
-    def extend(prefix: list[int], used: int):
-        if len(prefix) == m:
-            yield np.array(prefix, dtype=np.int64)
-            return
-        room = m - len(prefix) - 1
-        for g in range(min(used + 1, k)):
-            if room >= k - max(used, g + 1):
-                yield from extend(prefix + [g], max(used, g + 1))
-
-    return extend([0], 1)
-
-
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -161,14 +144,6 @@ def kmeans(
     own substream and runs Lloyd's iterations from them.  Deterministic for
     a fixed seed: equal-objective ties break toward the lexicographically
     smallest (first-occurrence-relabeled) assignment.
-
-    Lloyd's iterations stop in local minima: at k = 2 on five 2-d points
-    they can miss the least error even when seeded from every pair of
-    points.  So when ``k^m``, which bounds the number of groupings, is at
-    most ``restarts * MAX_ITER``, the Lloyd iterations the restarts may
-    spend, every grouping is scored as well, and the first of least error
-    replaces the restarts' best if it is strictly lower: the result is then
-    the exact minimum.
     """
     points = _as_points(points)
     m = points.shape[0]
@@ -189,12 +164,6 @@ def kmeans(
         key = tuple(partition.assignment.tolist())
         if obj < best_obj or (obj == best_obj and key < best_key):
             best, best_obj, best_key = partition, obj, key
-    if 1 < k < m and m * np.log(k) <= np.log(restarts * MAX_ITER):
-        for labels in _groupings(m, k):
-            partition = Partition.from_labels(labels)
-            obj = projection_error(partition, points)
-            if obj < best_obj:
-                best, best_obj = partition, obj
     return KMeansResult(partition=best, objective=best_obj)
 
 

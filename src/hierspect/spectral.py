@@ -49,7 +49,8 @@ _DENSE_CUTOFF = 1024
 # before the bulk value that stops the count, so their vectors feed
 # k-means as they are; a counted value near zero can stop short (residual
 # 8.3e-5 at -0.352 on an assortative 2/4/8 graph, n = 1536, SNR 3).  The
-# final probe's residuals prove the count.
+# final probe's residuals show each of its values to be on its side of the
+# count threshold; an eigenvalue the probe missed is not detected.
 COUNT_PROBE_TOL = 1e-2
 
 
@@ -155,7 +156,10 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
     eight, and costs little when it lands on an isolated outlier.  The
     counted pairs mostly converge to full accuracy before the bulk value
     that stops the count, so the final probe's first ``count`` vectors are
-    returned; its residual norms prove the count.
+    returned.  The final probe's residual norms show each of its values to
+    be on its side of ``tau``.  Ritz values interlace the spectrum, so the
+    count is not too high; an eigenvalue at or below ``tau`` that the
+    probe missed would make it too low, and this check cannot see that.
 
     Raises
     ------

@@ -403,39 +403,6 @@ class TestDuality:
         res = kmeans(v, 2, restarts=10, seed=seed)
         assert res.objective <= best + 1e-10
 
-    @pytest.mark.parametrize("seed", [222, 1540, 138078])
-    def test_kmeans_exact_where_lloyd_stops_short(self, seed):
-        # inputs of the property above on which the best Lloyd restart stops
-        # above the least error (4.2937, 5.2941 and 6.3398)
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 8))
-        v = rng.standard_normal((n, 2))
-        best, _ = brute_force_min_projection_error(v, 2)
-        res = kmeans(v, 2, restarts=10, seed=seed)
-        assert res.objective == pytest.approx(best, abs=1e-12)
-
-    def test_groupings_scored_only_within_the_restarts_budget(self, monkeypatch):
-        calls = []
-        real = ps._groupings
-        monkeypatch.setattr(ps, "_groupings", lambda m, k: calls.append((m, k)) or real(m, k))
-        rng = np.random.default_rng(3)
-        for m, k in [(11, 2), (12, 2), (6, 1), (6, 6)]:
-            kmeans(rng.standard_normal((m, 2)), k, restarts=10, seed=0)
-        # 2^11 <= 10 * MAX_ITER < 2^12
-        assert calls == [(11, 2)]
-
-    @pytest.mark.parametrize("m, k", [(1, 1), (4, 2), (5, 3), (6, 6), (7, 3)])
-    def test_groupings_are_every_partition_once(self, m, k):
-        got = [tuple(g.tolist()) for g in ps._groupings(m, k)]
-        want = sorted(
-            {
-                tuple(_reference_relabel(np.array(labels)).tolist())
-                for labels in itertools.product(range(k), repeat=m)
-                if len(set(labels)) == k
-            }
-        )
-        assert got == want
-
 
 class TestBestEEPPartition:
     def test_recovers_exact_piecewise_structure(self):

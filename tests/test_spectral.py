@@ -236,7 +236,8 @@ class TestSparseCount:
     probes give the count.  The counted pairs converge to full accuracy
     before the bulk value that stops the count (on this fixture;
     ``_LOOSE_SPAN`` names an operator where one does not), so the final
-    probe's vectors are kept.  Its residuals prove the count."""
+    probe's vectors are kept.  Its residuals show each of its values to be
+    on its side of ``tau``."""
 
     @pytest.fixture(scope="class")
     def operators(self):
