@@ -13,8 +13,8 @@ two versions of the code and ``diff`` the outputs to show that a change
 to the eigensolver, the k-means or the candidate scoring leaves the output
 as it was, including the marginal counts near the detectability threshold.
 
-The grid (30 graphs; all but the flat ones above the dense cutoff, so on
-the ARPACK path):
+The grid (36 graphs; the last two groups are at or below the dense
+cutoff, so on the LAPACK path, and the others on the ARPACK path):
 
 * assortative and disassortative 2/4/8, n = 2^12, degree 30, SNR 1.5, 2
   and 3, graph seeds 0-2, detect seed = graph seed + 7;
@@ -23,8 +23,10 @@ the ARPACK path):
 * symmetric 3/9/27, n = 3^7, degree 20, SNR 2 and 4, graph seeds 0-1,
   detect seed = graph seed + 7;
 * flat, n = 640, 64 groups, degree 10, SNR 8, graph seeds 0-2, detect
-  seed = graph seed + 7 (the dense path, where candidate scoring runs
-  most).
+  seed = graph seed + 7 (where candidate scoring runs most);
+* near the threshold on the dense path: assortative and disassortative
+  2/4/8, n = 1024, degree 30, SNR 3, and symmetric 3/9/27, n = 729,
+  degree 30, SNR 4, graph seeds 0-1, detect seed = graph seed + 7.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ def grid():
         spec = SynthSpec(model="flat", n=640, snr=8.0, avg_degree=10.0,
                          schedule=(64,), seed=seed)
         yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+    for model, n, snr, schedule in (("assortative", 1024, 3.0, (2, 4, 8)),
+                                    ("disassortative", 1024, 3.0, (2, 4, 8)),
+                                    ("symmetric", 729, 4.0, (3, 9, 27))):
+        for seed in range(2):
+            spec = SynthSpec(model=model, n=n, snr=snr, avg_degree=30.0,
+                             schedule=schedule, seed=seed)
+            yield vars(spec), generate_hierarchical(spec)[0], seed + 7
 
 
 def detect_json_sha256(result, seed: int, directory: Path) -> str:

@@ -30,7 +30,6 @@ from .graph import (
     write_edge_list,
 )
 from .hierarchy import (
-    DetectionConfig,
     HierarchyResult,
     Level,
     LevelCandidates,
@@ -66,7 +65,6 @@ __all__ = [
     "AffinityMatrix",
     "BetheClustering",
     "DegenerateGraphError",
-    "DetectionConfig",
     "EdgeListError",
     "EigsResult",
     "Graph",

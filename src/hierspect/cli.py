@@ -33,7 +33,7 @@ from .graph import (
     relative_partition,
     write_edge_list,
 )
-from .hierarchy import DetectionConfig, infer_hierarchy
+from .hierarchy import infer_hierarchy
 from .rng import substream_seed
 from .serialize import (
     HIERARCHY_SCHEMA,
@@ -162,8 +162,7 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
 def cmd_detect(edges_path, out_path, seed, z):
     """Detect the community hierarchy of an edge-list graph."""
     graph = read_edge_list(edges_path)
-    config = DetectionConfig(z=z)
-    result = infer_hierarchy(graph, config=config, seed=seed)
+    result = infer_hierarchy(graph, seed=seed, z=z)
     dump_json(hierarchy_to_dict(result, seed=seed), out_path)
     counts = ", ".join(str(level.k) for level in result.levels)
     _status(f"detected {len(result.levels)} level(s) with group counts: {counts}")
@@ -225,7 +224,7 @@ def _benchmark_rep(task: dict) -> dict:
         row[f"ami_level_{i + 1}"] = ""
     try:
         graph, truth = generate_hierarchical(spec)
-        result = infer_hierarchy(graph, config=task["config"], seed=spec.seed)
+        result = infer_hierarchy(graph, seed=spec.seed, z=task["z"])
         inferred = [level.composed_partition for level in result.levels]
         report = score_hierarchy(truth.partitions, inferred)
         row["n_levels_inferred"] = len(result.levels)
@@ -252,7 +251,6 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
     """Sweep SNR values with repetitions and write a CSV of scores."""
     schedule_t = _parse_schedule(schedule or DEFAULT_SCHEDULES[model])
     snr_values = _parse_snr_range(snr_range)
-    config = DetectionConfig(z=z)
     tasks = []
     for snr_idx, snr in enumerate(snr_values):
         for rep in range(reps):
@@ -267,7 +265,7 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
                 )
             except ValueError as exc:
                 raise click.UsageError(str(exc))
-            tasks.append({"spec": spec, "rep": rep, "config": config})
+            tasks.append({"spec": spec, "rep": rep, "z": z})
     try:
         workers = int(os.environ.get("HIERSPECT_WORKERS", "1"))
     except ValueError:
@@ -280,18 +278,10 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
         for i, task in enumerate(tasks):
             rows.append(_benchmark_rep(task))
             _status(f"benchmark {i + 1}/{len(tasks)} done (snr={task['spec'].snr:g})")
-    fieldnames = [
-        "model",
-        "snr",
-        "rep",
-        "seed",
-        "status",
-        "n_levels_inferred",
-        "precision",
-        "recall",
-    ] + [f"ami_level_{i + 1}" for i in range(len(schedule_t))]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        # the columns are _benchmark_rep's row keys; --reps and --snr-range
+        # each give at least one task, so rows[0] exists
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     _status(f"wrote {len(rows)} rows to {out_path}")

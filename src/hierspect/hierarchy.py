@@ -34,7 +34,6 @@ __all__ = [
     "MsleFit",
     "fit_msle",
     "find_relevant_minima",
-    "DetectionConfig",
     "Level",
     "HierarchyResult",
     "infer_hierarchy",
@@ -285,17 +284,6 @@ def find_relevant_minima(mean_errors) -> list[int]:
 
 
 @dataclass(frozen=True)
-class DetectionConfig:
-    """Tunable parameters of hierarchy detection.
-
-    ``z`` is the number of bootstrap perturbations that score each level's
-    candidates.
-    """
-
-    z: int = 100
-
-
-@dataclass(frozen=True)
 class Level:
     """One hierarchy level, fine to coarse.
 
@@ -324,19 +312,16 @@ class HierarchyResult:
     diagnostics: list = field(default_factory=list)
 
 
-def infer_hierarchy(
-    graph: Graph, config: DetectionConfig | None = None, seed: int = 0
-) -> HierarchyResult:
+def infer_hierarchy(graph: Graph, seed: int = 0, z: int = 100) -> HierarchyResult:
     """Detect the full community hierarchy of a graph.
 
     The finest level comes from Bethe Hessian clustering.  Each subsequent
     level re-estimates the group affinity from the original adjacency,
     proposes sub-partitions of the current groups, and keeps the finest
     size accepted by the null-curve significance test; the loop stops when
-    no size is accepted.  Deterministic for fixed seed and input.
+    no size is accepted.  ``z`` bootstrap perturbations score each level's
+    candidates.  Deterministic for fixed seed and input.
     """
-    if config is None:
-        config = DetectionConfig()
     bethe = cluster_bethe_hessian(graph, seed=substream_seed(seed, "bethe"))
     finest = bethe.partition
     levels = [
@@ -352,7 +337,7 @@ def infer_hierarchy(
         current = levels[-1]
         candidates = identify_partitions_and_errors(
             current.affinity,
-            z=config.z,
+            z=z,
             seed=substream_seed(seed, "identify", len(levels)),
         )
         accepted = find_relevant_minima(candidates.mean_errors)

@@ -86,8 +86,8 @@ SCORE_SCHEMA = {
 def _level_dict(k: int, membership: np.ndarray, omega: np.ndarray) -> dict:
     return {
         "k": int(k),
-        "membership": [int(x) for x in membership],
-        "omega": [[float(x) for x in row] for row in omega],
+        "membership": np.asarray(membership).tolist(),
+        "omega": np.asarray(omega).tolist(),
     }
 
 
@@ -114,7 +114,7 @@ def truth_to_dict(partitions, level_omegas, omega_fine, seed: int | None = None)
             _level_dict(p.k, p.assignment, omega)
             for p, omega in zip(partitions, level_omegas)
         ],
-        "omega_fine": [[float(x) for x in row] for row in np.asarray(omega_fine)],
+        "omega_fine": np.asarray(omega_fine).tolist(),
     }
     if seed is not None:
         doc["seed"] = int(seed)
@@ -123,7 +123,7 @@ def truth_to_dict(partitions, level_omegas, omega_fine, seed: int | None = None)
 
 def score_to_dict(report) -> dict:
     return {
-        "xi": [[float(x) for x in row] for row in report.xi],
+        "xi": np.asarray(report.xi).tolist(),
         "precision": float(report.precision),
         "recall": float(report.recall),
     }

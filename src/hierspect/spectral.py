@@ -35,10 +35,11 @@ __all__ = [
 # of zero count as non-positive when estimating group counts.
 COUNT_TOL_FACTOR = 1e-10
 
-# Bound on how many small eigenvalues the doubling search will request.
+# Bound on the count of non-positive eigenvalues on both paths, and on
+# how many small eigenvalues the doubling search will request.
 COUNT_CAP = 256
 
-# Below this size a full dense decomposition beats iterative solves.
+# Up to this size a dense decomposition beats iterative solves.
 _DENSE_CUTOFF = 1024
 
 # ARPACK tolerance of the probes that count non-positive eigenvalues on
@@ -143,8 +144,12 @@ def bethe_hessian(graph: Graph, r: float) -> sp.csr_matrix:
 def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarray]:
     """Count eigenvalues <= 0 (within tolerance) and return their eigenvectors.
 
-    Up to the dense cutoff the matrix is decomposed once, for the cap, and
-    the count and vectors are read off that decomposition.
+    Up to the dense cutoff one LAPACK call per matrix returns exactly the
+    eigenpairs with values at or below ``tau`` (``subset_by_value``), and
+    the count is their number, capped at ``COUNT_CAP``.  This path skips
+    ``eigs_symmetric``'s symmetry check: ``bethe_hessian`` builds the
+    matrix from a ``Graph`` adjacency, which every ``Graph`` constructor
+    makes symmetric.
 
     Above it the count and the vectors come from the same probes, with no
     second, tight solve.  The probes request smallest-algebraic eigenpairs
@@ -170,25 +175,27 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
     """
     n = matrix.shape[0]
     tau = COUNT_TOL_FACTOR * float(np.abs(matrix.diagonal()).max())
-    cap = min(n, COUNT_CAP)
     if n <= _DENSE_CUTOFF:
-        res = eigs_symmetric(matrix, cap, seed=seed)
+        values, vectors = scipy.linalg.eigh(
+            matrix.toarray(), subset_by_value=(-np.inf, tau)
+        )
+        count = min(len(values), COUNT_CAP)
+        return count, vectors[:, :count]
+    cap = min(n, COUNT_CAP)
+    m = 1
+    while True:
+        res = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL)
         count = int(np.sum(res.eigenvalues <= tau))
-    else:
-        m = 1
-        while True:
-            res = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL)
-            count = int(np.sum(res.eigenvalues <= tau))
-            if count < m or m >= cap:
-                break
-            m = min(max(8, 2 * m), cap)
-        residuals = _residual_norms(matrix, res.eigenvalues, res.eigenvectors)
-        if np.any(np.abs(res.eigenvalues - tau) <= residuals):
-            raise SolverError(
-                f"eigenvalue count unproven: a value of the {m}-value probe "
-                f"lies within its residual of the tolerance {tau:.3g}",
-                residual_norms=residuals,
-            )
+        if count < m or m >= cap:
+            break
+        m = min(max(8, 2 * m), cap)
+    residuals = _residual_norms(matrix, res.eigenvalues, res.eigenvectors)
+    if np.any(np.abs(res.eigenvalues - tau) <= residuals):
+        raise SolverError(
+            f"eigenvalue count unproven: a value of the {m}-value probe "
+            f"lies within its residual of the tolerance {tau:.3g}",
+            residual_norms=residuals,
+        )
     # copy, so the columns past the count are freed
     return count, res.eigenvectors[:, :count].copy()
 

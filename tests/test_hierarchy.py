@@ -5,7 +5,6 @@ import pytest
 
 from hierspect import (
     AffinityMatrix,
-    DetectionConfig,
     Partition,
     SynthSpec,
     bootstrap_perturb_affinity,
@@ -327,6 +326,6 @@ class TestInferHierarchy:
             model="flat", n=160, snr=4.0, avg_degree=16.0, schedule=(16,), seed=12,
         )
         graph, _ = generate_hierarchical(spec)
-        res = infer_hierarchy(graph, config=DetectionConfig(z=5), seed=16)
+        res = infer_hierarchy(graph, seed=16, z=5)
         assert res.levels[0].k >= 1
         assert res.diagnostics

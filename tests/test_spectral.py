@@ -189,7 +189,7 @@ class TestClusterBetheHessian:
 
 
 class TestDenseCount:
-    """Up to the dense cutoff each sign is decomposed once."""
+    """Up to the dense cutoff each sign is one by-value LAPACK call."""
 
     @pytest.fixture
     def twelve_k5(self):
@@ -205,30 +205,55 @@ class TestDenseCount:
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        requests = []
+        calls = {"eigs": [], "eigh": []}
+        eigh = scipy.linalg.eigh
 
-        def eigs_spy(matrix, m, seed=0):
-            requests.append(m)
-            return eigs_symmetric(matrix, m, seed=seed)
+        def eigs_spy(matrix, m, seed=0, **kwargs):
+            calls["eigs"].append(m)
+            return eigs_symmetric(matrix, m, seed=seed, **kwargs)
+
+        def eigh_spy(a, *args, **kwargs):
+            calls["eigh"].append(kwargs.get("subset_by_value"))
+            return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
-        return requests
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+        return calls
+
+    @staticmethod
+    def assert_orthonormal(vectors):
+        gram = vectors.T @ vectors
+        np.testing.assert_allclose(gram, np.eye(gram.shape[0]), atol=1e-12)
 
     def test_one_decomposition_per_sign(self, twelve_k5, spy):
         res = cluster_bethe_hessian(twelve_k5, seed=3)
         assert (res.k_plus, res.k_minus) == (12, 0)
-        # the cap is min(n, COUNT_CAP) = n here; the doubling loop made
-        # three requests (8 and 16 for +r, 8 for -r)
-        assert spy == [twelve_k5.n, twelve_k5.n]
+        # r = 2 and every degree is 4, so both operators have diagonal 7
+        tau = spectral.COUNT_TOL_FACTOR * 7.0
+        assert spy["eigs"] == []
+        assert spy["eigh"] == [(-np.inf, tau), (-np.inf, tau)]
 
     def test_count_and_vectors_match_full_eigh(self, twelve_k5, spy):
         op = bethe_hessian(twelve_k5, 2.0)
         count, vectors = spectral._count_nonpositive(op, seed=4)
-        assert spy == [twelve_k5.n]
+        assert spy["eigs"] == [] and len(spy["eigh"]) == 1
         values, full = scipy.linalg.eigh(op.toarray())
         tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
         assert count == int(np.sum(values <= tau)) == 12
-        np.testing.assert_array_equal(vectors, full[:, :count])
+        # the twelve values -1 are one degenerate eigenspace, so the two
+        # calls may return different bases of it: compare projectors
+        self.assert_orthonormal(vectors)
+        kept = full[:, :count]
+        np.testing.assert_allclose(vectors @ vectors.T, kept @ kept.T, atol=1e-12)
+
+    @pytest.mark.parametrize("r", [1.0, -1.0])
+    def test_count_is_capped(self, r):
+        # B_{+-1} = D -+ A has one zero eigenvalue per disjoint edge: 300
+        graph = Graph.from_edges([(2 * i, 2 * i + 1) for i in range(300)])
+        count, vectors = spectral._count_nonpositive(bethe_hessian(graph, r), seed=0)
+        assert count == spectral.COUNT_CAP == 256
+        assert vectors.shape == (graph.n, 256)
+        self.assert_orthonormal(vectors)
 
 
 class TestSparseCount:
