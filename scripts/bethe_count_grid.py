@@ -6,12 +6,17 @@ near-threshold grid.
 Run from any directory; the package is imported from this checkout's
 ``src/``.  For each graph of the grid it prints one JSON line: the graph
 spec, the detect seed, k-plus, k-minus, the sha256 of the assignment
-bytes that ``cluster_bethe_hessian`` returns, the level sizes of
-``infer_hierarchy`` and the sha256 of its document as ``hierspect
-detect`` writes it (``dump_json`` of ``hierarchy_to_dict``).  Run it on
-two versions of the code and ``diff`` the outputs to show that a change
-to the eigensolver, the k-means or the candidate scoring leaves the output
-as it was, including the marginal counts near the detectability threshold.
+bytes that ``cluster_bethe_hessian`` returns, the stage-one objective (the
+``projection_error`` of that assignment against the Bethe Hessian vectors,
+as its ``kmeans`` call returns it; null when k-hat is 1 and no k-means
+runs), the AMI of that assignment against the planted finest level, the
+level sizes of ``infer_hierarchy`` and the sha256 of its document as
+``hierspect detect`` writes it (``dump_json`` of ``hierarchy_to_dict``).
+Run it on two versions of the code and ``diff`` the outputs to show that a
+change to the eigensolver, the k-means or the candidate scoring leaves the
+output as it was, including the marginal counts near the detectability
+threshold; where an assignment changes, the objective and the AMI show
+whether its quality moved.
 
 The grid (36 graphs; the last two groups are at or below the dense
 cutoff, so on the LAPACK path, and the others on the ARPACK path):
@@ -35,12 +40,15 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import hierspect.spectral as spectral  # noqa: E402
 from hierspect import (  # noqa: E402
     SynthSpec,
+    ami,
     cluster_bethe_hessian,
     generate_hierarchical,
     generate_planted_partition,
@@ -50,32 +58,57 @@ from hierspect.serialize import dump_json, hierarchy_to_dict  # noqa: E402
 
 
 def grid():
-    """Yield (spec dict, graph, detect seed) for every graph of the grid."""
+    """Yield (spec dict, graph, planted finest partition, detect seed) for
+    every graph of the grid."""
     for model in ("assortative", "disassortative"):
         for snr in (1.5, 2.0, 3.0):
             for seed in range(3):
                 spec = SynthSpec(model=model, n=2**12, snr=snr, avg_degree=30.0,
                                  schedule=(2, 4, 8), seed=seed)
-                yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+                yield hierarchical(spec, seed + 7)
     for seed in range(40, 45):
         spec = {"model": "er", "n": 2000, "avg_degree": 20.0, "seed": seed}
-        yield spec, generate_planted_partition(2000, 1, 20.0, 20.0, seed=seed)[0], seed - 37
+        yield (spec, *generate_planted_partition(2000, 1, 20.0, 20.0, seed=seed), seed - 37)
     for snr in (2.0, 4.0):
         for seed in range(2):
             spec = SynthSpec(model="symmetric", n=3**7, snr=snr, avg_degree=20.0,
                              schedule=(3, 9, 27), seed=seed)
-            yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+            yield hierarchical(spec, seed + 7)
     for seed in range(3):
         spec = SynthSpec(model="flat", n=640, snr=8.0, avg_degree=10.0,
                          schedule=(64,), seed=seed)
-        yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+        yield hierarchical(spec, seed + 7)
     for model, n, snr, schedule in (("assortative", 1024, 3.0, (2, 4, 8)),
                                     ("disassortative", 1024, 3.0, (2, 4, 8)),
                                     ("symmetric", 729, 4.0, (3, 9, 27))):
         for seed in range(2):
             spec = SynthSpec(model=model, n=n, snr=snr, avg_degree=30.0,
                              schedule=schedule, seed=seed)
-            yield vars(spec), generate_hierarchical(spec)[0], seed + 7
+            yield hierarchical(spec, seed + 7)
+
+
+def hierarchical(spec: SynthSpec, detect_seed: int):
+    """One grid row's inputs for a ``generate_hierarchical`` spec."""
+    graph, truth = generate_hierarchical(spec)
+    return vars(spec), graph, truth.partitions[0], detect_seed
+
+
+def stage_one(graph, seed: int):
+    """``cluster_bethe_hessian`` and the objective of its ``kmeans`` call
+    (None when no k-means runs)."""
+    real = spectral.kmeans
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    spectral.kmeans = recording
+    try:
+        res = cluster_bethe_hessian(graph, seed=seed)
+    finally:
+        spectral.kmeans = real
+    return res, results[0].objective if results else None
 
 
 def detect_json_sha256(result, seed: int, directory: Path) -> str:
@@ -87,12 +120,18 @@ def detect_json_sha256(result, seed: int, directory: Path) -> str:
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for spec, graph, detect_seed in grid():
-            res = cluster_bethe_hessian(graph, seed=detect_seed)
+        for spec, graph, truth, detect_seed in grid():
+            res, objective = stage_one(graph, detect_seed)
             digest = hashlib.sha256(res.partition.assignment.tobytes()).hexdigest()
+            with warnings.catch_warnings():
+                # AMI of two one-group partitions (the ER rows) warns
+                warnings.simplefilter("ignore")
+                finest_ami = ami(res.partition, truth)
             result = infer_hierarchy(graph, seed=detect_seed)
             row = {"spec": spec, "detect_seed": detect_seed, "k_plus": res.k_plus,
                    "k_minus": res.k_minus, "assignment_sha256": digest,
+                   "projection_error": None if objective is None else round(objective, 6),
+                   "finest_ami": round(finest_ami, 6),
                    "levels": [level.k for level in result.levels],
                    "detect_sha256": detect_json_sha256(result, detect_seed, Path(tmp))}
             print(json.dumps(row, sort_keys=True), flush=True)

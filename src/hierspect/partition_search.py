@@ -7,13 +7,14 @@ removing group-wise means.  It is zero exactly when every column of ``V``
 is constant within each group.  Minimizing it over partitions with ``k``
 groups is the same problem as k-means on the rows of ``V``.
 ``projection_error``, summed by ``Partition.group_means``, is the one
-objective: perturbation scoring and every ``kmeans`` restart call it.
+objective: perturbation scoring and every ``kmeans`` run call it.
 
 Two searches minimize it.  ``best_eep_partition`` proposes the candidates
 of the coarser levels without a seed: Ward's greedy merging of the same
 squared error, cut at ``k`` groups, then Hartigan single-point moves to a
-local minimum.  ``kmeans`` clusters the finest level: the best of seeded
-k-means++ restarts of Lloyd's algorithm.
+local minimum.  ``kmeans`` runs Lloyd's algorithm: the finest level is one
+run from the centres that stage one picks (``centers``), and without
+centres it is the best of seeded k-means++ restarts.
 """
 
 from __future__ import annotations
@@ -137,11 +138,16 @@ def kmeans(
     k: int,
     restarts: int = DEFAULT_RESTARTS,
     seed: int = 0,
+    *,
+    centers: np.ndarray | None = None,
 ) -> KMeansResult:
-    """Best-of-``restarts`` Lloyd's algorithm with k-means++ seeding.
+    """Lloyd's algorithm from given ``centers``, or the best of ``restarts``
+    runs with k-means++ seeding.
 
-    The restarts run one after another; each seeds its centers from its
-    own substream and runs Lloyd's iterations from them.  Deterministic for
+    Given ``centers`` (``k`` rows of the points' dimension), one Lloyd run
+    starts from them; ``restarts`` and ``seed`` are not used.  Otherwise
+    the restarts run one after another; each seeds its centers from its own
+    substream and runs Lloyd's iterations from them.  Deterministic for
     a fixed seed: equal-objective ties break toward the lexicographically
     smallest (first-occurrence-relabeled) assignment.
     """
@@ -149,16 +155,27 @@ def kmeans(
     m = points.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k={k} must be between 1 and the number of points {m}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     norms = np.sum(points * points, axis=1)
     twice = 2.0 * points
+    if centers is not None:
+        centers = np.asarray(centers, dtype=np.float64)
+        if centers.shape != (k, points.shape[1]):
+            raise ValueError(
+                f"centers have shape {centers.shape}, expected {(k, points.shape[1])}"
+            )
+        starts = [centers]
+    elif restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    else:
+        starts = (
+            _seed(points, norms, twice, k, substream(seed, "kmeans", ridx))
+            for ridx in range(restarts)
+        )
     best = None
     best_obj = np.inf
     best_key = None
-    for ridx in range(restarts):
-        centers = _seed(points, norms, twice, k, substream(seed, "kmeans", ridx))
-        labels = _lloyd(points, norms, twice, centers)
+    for start in starts:
+        labels = _lloyd(points, norms, twice, start)
         partition = Partition.from_labels(_relabel_first_occurrence(labels))
         obj = projection_error(partition, points)
         key = tuple(partition.assignment.tolist())

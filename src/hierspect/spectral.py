@@ -6,7 +6,9 @@ Bethe Hessian ``B_r = (r^2 - 1) I + D - r A``, evaluated at plus and minus
 the square root of the average degree.  The number of non-positive
 eigenvalues of the two operators estimates the number of assortative and
 disassortative groups respectively, and their eigenvectors feed a k-means
-step that assigns nodes to groups.
+step that assigns nodes to groups.  That step is one Lloyd run, started
+from the rows a column-pivoted QR picks (Damle, Minden and Ying, 2019,
+"Simple, direct and efficient multi-way spectral clustering").
 """
 
 from __future__ import annotations
@@ -141,7 +143,9 @@ def bethe_hessian(graph: Graph, r: float) -> sp.csr_matrix:
     return (sp.diags(np.full(n, r * r - 1.0) + graph.degrees) - r * graph.adjacency).tocsr()
 
 
-def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarray]:
+def _count_nonpositive(
+    matrix: sp.csr_matrix, seed: int, first: int = 1
+) -> tuple[int, np.ndarray]:
     """Count eigenvalues <= 0 (within tolerance) and return their eigenvectors.
 
     Up to the dense cutoff one LAPACK call per matrix returns exactly the
@@ -153,12 +157,13 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
 
     Above it the count and the vectors come from the same probes, with no
     second, tight solve.  The probes request smallest-algebraic eigenpairs
-    at the loose tolerance ``COUNT_PROBE_TOL``, first one, then 8, 16, 32,
-    ... (doubling), until a strictly positive value shows up or the cap is
-    reached.  A probe costs about as much as the bulk eigenvalues it has
-    to converge, so the one-value probe settles a count of zero (the usual
-    case at ``-r`` on assortative graphs) for one bulk value instead of
-    eight, and costs little when it lands on an isolated outlier.  The
+    at the loose tolerance ``COUNT_PROBE_TOL``, first ``first``, then 8,
+    16, 32, ... (doubling), until a strictly positive value shows up or the
+    cap is reached.  A probe costs about as much as the bulk eigenvalues it
+    has to converge, so a one-value first probe settles a count of zero
+    (the usual case at ``-r`` on assortative graphs) for one bulk value
+    instead of eight; where the count is known to be at least one (``+r``),
+    that probe would always be spent, and the caller starts at 8.  The
     counted pairs mostly converge to full accuracy before the bulk value
     that stops the count, so the final probe's first ``count`` vectors are
     returned.  The final probe's residual norms show each of its values to
@@ -182,7 +187,7 @@ def _count_nonpositive(matrix: sp.csr_matrix, seed: int) -> tuple[int, np.ndarra
         count = min(len(values), COUNT_CAP)
         return count, vectors[:, :count]
     cap = min(n, COUNT_CAP)
-    m = 1
+    m = first
     while True:
         res = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL)
         count = int(np.sum(res.eigenvalues <= tau))
@@ -205,7 +210,10 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
 
     Sets ``r`` to the square root of the average degree, counts the
     non-positive eigenvalues of the positively and negatively regularized
-    operators, and k-means-clusters nodes on the concatenated eigenvectors.
+    operators, and clusters nodes on the concatenated eigenvectors: one
+    Lloyd run from the ``k_hat`` rows that a column-pivoted QR of their
+    transpose picks first.  ``seed`` only seeds the sparse eigensolver's
+    start vectors; up to the dense cutoff the result does not depend on it.
     Returns a single-group clustering (flagged) if no non-positive
     eigenvalue exists.
     """
@@ -214,9 +222,12 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     r = float(np.sqrt(graph.total_weight / graph.n))
     blocks = []
     counts = []
-    for sign, name in ((1.0, "pos"), (-1.0, "neg")):
+    # +r counts at least one value on every graph measured (one on
+    # Erdos-Renyi graphs), so a one-value first probe there is always
+    # spent; a count of zero would still come out of the eight-value one
+    for sign, name, first in ((1.0, "pos", 8), (-1.0, "neg", 1)):
         count, vectors = _count_nonpositive(
-            bethe_hessian(graph, sign * r), seed=substream_seed(seed, name)
+            bethe_hessian(graph, sign * r), seed=substream_seed(seed, name), first=first
         )
         counts.append(count)
         if count:
@@ -237,7 +248,11 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     if k_hat == 1:
         partition = Partition.single_group(graph.n)
     else:
-        partition = kmeans(q, k_hat, seed=substream_seed(seed, "bh-kmeans")).partition
+        # the pivoted QR picks, one at a time, the row of q farthest from
+        # the span of the rows picked before: about one row per group, so
+        # one Lloyd run from them needs no restarts
+        pivots = scipy.linalg.qr(q.T, mode="r", pivoting=True)[1][:k_hat]
+        partition = kmeans(q, k_hat, centers=q[pivots]).partition
     return BetheClustering(
         k_hat=k_hat, partition=partition, r=r, k_plus=k_plus, k_minus=k_minus
     )

@@ -180,11 +180,11 @@ def test_criterion_4_disassortative_recovery():
     """Column-reversed hierarchy: finest level at SNR 8, coarsest from SNR 4.
 
     Known shortfall at SNR=4, measured on this fixture: mean finest AMI
-    0.754, mean coarsest 0.745.  A majority-vote (oracle) merge of the
-    detected finest groups onto the planted two groups gives 0.784, and the
+    0.753, mean coarsest 0.744.  A majority-vote (oracle) merge of the
+    detected finest groups onto the planted two groups gives 0.783, and the
     detected coarsest level scores the same as that merge in 9 of 10
     seeds; seed 7 accepts no coarse level (levels (8,), coarsest AMI
-    0.393).  So the bar is missed by the finest-level assignment and one
+    0.392).  So the bar is missed by the finest-level assignment and one
     rejected merge, not because 0.8 is above the information in the graph:
     a node-wise likelihood refinement of the finest level, prototyped but
     not merged, reached a mean coarsest AMI of 0.895 on the same graphs.

@@ -213,6 +213,34 @@ class TestKMeans:
         assert firsts == sorted(firsts)
 
 
+class TestGivenCenters:
+    """Given centres, ``kmeans`` is one Lloyd run from them."""
+
+    def test_equals_one_lloyd_run_for_any_seed(self):
+        rng = np.random.default_rng(12)
+        points = rng.standard_normal((60, 3))
+        centers = points[[3, 17, 40, 8]]
+        labels = ps._lloyd(points, np.sum(points * points, axis=1), 2.0 * points, centers)
+        expected = Partition.from_labels(ps._relabel_first_occurrence(labels))
+        for restarts, seed in [(1, 0), (10, 7), (3, 123)]:
+            res = kmeans(points, 4, restarts=restarts, seed=seed, centers=centers)
+            assert res.partition.assignment.tobytes() == expected.assignment.tobytes()
+            assert res.objective == projection_error(expected, points)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2,), (2, 2, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="centers"):
+            kmeans(np.zeros((5, 2)), 2, centers=np.zeros(shape))
+
+    def test_duplicate_centers_give_k_groups(self):
+        # twelve points at three locations, started from two copies of the
+        # first location: the empty group is repaired and then finds its own
+        points = np.repeat(np.eye(3), 4, axis=0)
+        res = kmeans(points, 3, centers=points[[0, 0, 4]])
+        np.testing.assert_array_equal(res.partition.assignment, np.repeat([0, 1, 2], 4))
+        assert res.objective == 0.0
+
+
 def _reference_sq_dist(points, centers):
     d2 = (
         np.sum(points * points, axis=1)[:, None]

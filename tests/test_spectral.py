@@ -187,6 +187,19 @@ class TestClusterBetheHessian:
         assert res.k_hat == 3
         assert ami(res.partition, truth) > 0.85
 
+    def test_dense_path_assignment_is_seed_free(self):
+        from hierspect import generate_planted_partition, solve_planted_params
+
+        # near the threshold, where seeded k-means++ restarts gave a
+        # different assignment for each of these two seeds
+        alpha, beta = solve_planted_params(5, 20.0, 2.5)
+        g, _ = generate_planted_partition(1000, 5, alpha, beta, seed=1)
+        assert g.n <= spectral._DENSE_CUTOFF
+        res1 = cluster_bethe_hessian(g, seed=1)
+        res2 = cluster_bethe_hessian(g, seed=2)
+        assert res1.k_hat == res2.k_hat == 5
+        np.testing.assert_array_equal(res1.partition.assignment, res2.partition.assignment)
+
 
 class TestDenseCount:
     """Up to the dense cutoff each sign is one by-value LAPACK call."""
@@ -265,16 +278,20 @@ class TestSparseCount:
     on its side of ``tau``."""
 
     @pytest.fixture(scope="class")
-    def operators(self):
+    def graph(self):
         from hierspect import generate_planted_partition, solve_planted_params
 
         alpha, beta = solve_planted_params(4, 20.0, 6.0)
         g, _ = generate_planted_partition(1500, 4, alpha, beta, seed=8)
         assert g.n > spectral._DENSE_CUTOFF
-        r = np.sqrt(g.total_weight / g.n)
+        return g
+
+    @pytest.fixture(scope="class")
+    def operators(self, graph):
+        r = np.sqrt(graph.total_weight / graph.n)
         ops = {}
         for sign in (1.0, -1.0):
-            op = bethe_hessian(g, sign * r)
+            op = bethe_hessian(graph, sign * r)
             tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
             count = int(np.sum(np.linalg.eigvalsh(op.toarray()) <= tau))
             ops[sign] = (op, count)
@@ -330,6 +347,13 @@ class TestSparseCount:
         spy.clear()
         assert spectral._count_nonpositive(operators[1.0][0], seed=5)[0] == 4
         assert spy == [(1, tol), (8, tol)]
+
+    def test_plus_r_probes_start_at_eight(self, graph, spy):
+        res = cluster_bethe_hessian(graph, seed=5)
+        assert (res.k_plus, res.k_minus) == (4, 0)
+        # +r is counted first, from an eight-value probe; -r from one value
+        tol = spectral.COUNT_PROBE_TOL
+        assert spy == [(8, tol), (1, tol)]
 
     def test_unproven_count_raises(self, operators, monkeypatch):
         op, dense_count = operators[1.0]
