@@ -10,13 +10,17 @@ bytes that ``cluster_bethe_hessian`` returns, the stage-one objective (the
 ``projection_error`` of that assignment against the Bethe Hessian vectors,
 as its ``kmeans`` call returns it; null when k-hat is 1 and no k-means
 runs), the AMI of that assignment against the planted finest level, the
-level sizes of ``infer_hierarchy`` and the sha256 of its document as
-``hierspect detect`` writes it (``dump_json`` of ``hierarchy_to_dict``).
+level sizes of ``infer_hierarchy``, the sha256 of its document as
+``hierspect detect`` writes it (``dump_json`` of ``hierarchy_to_dict``),
+and the sha256 of the document's ``diagnostics`` with every float written
+as ``%.12g`` (``diagnostics_sha256_12``).
 Run it on two versions of the code and ``diff`` the outputs to show that a
 change to the eigensolver, the k-means or the candidate scoring leaves the
 output as it was, including the marginal counts near the detectability
 threshold; where an assignment changes, the objective and the AMI show
-whether its quality moved.
+whether its quality moved.  A change that moves only the last bits of the
+mean errors and their fits changes ``detect_sha256`` and keeps
+``diagnostics_sha256_12``.
 
 The grid (36 graphs; the last two groups are at or below the dense
 cutoff, so on the LAPACK path, and the others on the ARPACK path):
@@ -118,6 +122,24 @@ def detect_json_sha256(result, seed: int, directory: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def rounded(value):
+    """``value`` with every float replaced by its ``%.12g`` string."""
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    if isinstance(value, dict):
+        return {key: rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [rounded(item) for item in value]
+    return value
+
+
+def diagnostics_sha256_12(result) -> str:
+    """sha256 of the detection's diagnostics, every float to 12 significant
+    digits, so rounding in the last bits does not move it."""
+    text = json.dumps(rounded(result.diagnostics), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for spec, graph, truth, detect_seed in grid():
@@ -133,7 +155,8 @@ def main() -> None:
                    "projection_error": None if objective is None else round(objective, 6),
                    "finest_ami": round(finest_ami, 6),
                    "levels": [level.k for level in result.levels],
-                   "detect_sha256": detect_json_sha256(result, detect_seed, Path(tmp))}
+                   "detect_sha256": detect_json_sha256(result, detect_seed, Path(tmp)),
+                   "diagnostics_sha256_12": diagnostics_sha256_12(result)}
             print(json.dumps(row, sort_keys=True), flush=True)
 
 

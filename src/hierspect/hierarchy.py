@@ -48,6 +48,11 @@ SIGMA_TOL = 1e-8
 # fresh sample; a degenerate level would not.
 BOOTSTRAP_SCALE = float(np.sqrt(2.0))
 
+# Perturbations decomposed and scored together: a block's (b, k, k) stack
+# holds about 2**16 entries (512 KiB of float64), all z draws up to k = 25.
+# One stack of all z draws was slower at k = 64 and raised peak memory.
+BLOCK_ENTRIES = 2**16
+
 
 def null_curve(n: int, kappas=()) -> np.ndarray:
     """Expected projection errors for r = 1..n, conditioned on known levels.
@@ -81,6 +86,27 @@ def null_curve(n: int, kappas=()) -> np.ndarray:
     return values
 
 
+def _bootstrap_draws(omega: AffinityMatrix, seeds) -> np.ndarray:
+    """Perturbed affinity values, one ``(k, k)`` matrix per seed.
+
+    The noise model of ``bootstrap_perturb_affinity``: each seed draws its
+    symmetric standard-normal matrix from its own substream, and every
+    entry is moved by ``BOOTSTRAP_SCALE`` times its standard error.
+    """
+    k = omega.k
+    sizes = omega.group_sizes.astype(np.float64)
+    pairs = np.outer(sizes, sizes)
+    p = np.clip(omega.values, 0.0, 1.0)
+    p_smooth = (p * pairs + 1.0) / (pairs + 2.0)
+    stderr = np.sqrt(p_smooth * (1.0 - p_smooth) / pairs)
+    iu = np.triu_indices(k)
+    gamma = np.zeros((len(seeds), k, k))
+    for j, seed in enumerate(seeds):
+        gamma[j][iu] = substream(seed, "affinity-bootstrap").standard_normal(iu[0].size)
+    gamma = gamma + np.triu(gamma, k=1).transpose(0, 2, 1)
+    return omega.values + BOOTSTRAP_SCALE * gamma * stderr
+
+
 def bootstrap_perturb_affinity(omega: AffinityMatrix, seed: int = 0) -> AffinityMatrix:
     """Perturb each entry at the scale of its own estimation noise.
 
@@ -92,20 +118,8 @@ def bootstrap_perturb_affinity(omega: AffinityMatrix, seed: int = 0) -> Affinity
     simulates the disagreement between two independent estimates of the
     same affinity matrix.
     """
-    k = omega.k
-    sizes = omega.group_sizes.astype(np.float64)
-    pairs = np.outer(sizes, sizes)
-    p = np.clip(omega.values, 0.0, 1.0)
-    p_smooth = (p * pairs + 1.0) / (pairs + 2.0)
-    stderr = np.sqrt(p_smooth * (1.0 - p_smooth) / pairs)
-    rng = substream(seed, "affinity-bootstrap")
-    gamma = np.zeros((k, k))
-    iu = np.triu_indices(k)
-    gamma[iu] = rng.standard_normal(iu[0].size)
-    gamma = gamma + np.triu(gamma, k=1).T
     return AffinityMatrix(
-        values=omega.values + BOOTSTRAP_SCALE * gamma * stderr,
-        group_sizes=omega.group_sizes,
+        values=_bootstrap_draws(omega, [seed])[0], group_sizes=omega.group_sizes
     )
 
 
@@ -116,23 +130,38 @@ def structural_eigenvectors(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (eigenvalue-1) eigenvector first, then by descending eigenvalue
     magnitude.  Positive eigenvalues signal assortative structure,
     negative disassortative, so this ordering surfaces both.
+
+    A ``(b, k, k)`` stack of weight matrices is decomposed by one ``eigh``
+    call; the result is a ``(b, k)`` value stack and a ``(b, k, k)``
+    vector stack, each matrix's pairs bit-equal to its own call and
+    ordered by the same rule.  The vector stack is a view whose
+    ``transpose(2, 0, 1)`` is C-contiguous: vector ``c`` of every matrix
+    is one contiguous ``(b, k)`` slab.  One matrix gives C-contiguous
+    vectors: numpy's column means of a block (in stage two's Hartigan
+    moves) round differently in the other layout.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    k = weights.shape[0]
-    degrees = weights.sum(axis=1)
-    lap = np.diag(degrees) - weights
-    d_max = float(np.abs(degrees).max())
-    if d_max <= 0:
-        # all-zero degrees: W degenerates to the identity
-        d_max = 1.0
-    walk = np.eye(k) - lap / d_max
+    stack = weights if weights.ndim == 3 else weights[None]
+    b, k = stack.shape[:2]
+    degrees = stack.sum(axis=2)
+    lap = degrees[:, :, None] * np.eye(k) - stack
+    d_max = np.abs(degrees).max(axis=1)
+    # all-zero degrees: W degenerates to the identity
+    d_max[d_max <= 0] = 1.0
+    walk = np.eye(k) - lap / d_max[:, None, None]
     values, vectors = np.linalg.eigh(walk)
-    overlap = np.abs(vectors.sum(axis=0))
-    first = int(np.argmax(overlap))
-    rest = np.argsort(-np.abs(values), kind="stable")
-    rest = rest[rest != first]
-    order = np.concatenate(([first], rest))
-    return values[order], vectors[:, order]
+    first = np.argmax(np.abs(vectors.sum(axis=1)), axis=1)
+    rest = np.argsort(-np.abs(values), axis=1, kind="stable")
+    rest = rest[rest != first[:, None]].reshape(b, k - 1)
+    order = np.concatenate((first[:, None], rest), axis=1)
+    mats = np.arange(b)
+    values = values[mats[:, None], order]
+    # gathered as (vector, matrix, row): each vector index is one contiguous slab
+    slabs = vectors.transpose(2, 0, 1)[order.T, mats[None, :]]
+    vectors = slabs.transpose(1, 2, 0)
+    if weights.ndim == 3:
+        return values, vectors
+    return values[0], np.ascontiguousarray(vectors[0])
 
 
 @dataclass(frozen=True)
@@ -141,9 +170,10 @@ class LevelCandidates:
 
     ``partitions[r - 1]`` partitions the ``k`` current groups into ``r``
     groups; ``mean_errors[r - 1]`` is the mean perturbed projection error
-    for that size.  The single-group candidate projects exactly, so the
-    first error is zero only up to rounding (2.2e-25 on a flat 64-group
-    graph); the identity candidate's last error is exactly 0.0.
+    for that size, summed block by block over the perturbations.  The
+    single-group candidate projects exactly, so the first error is zero
+    only up to rounding (2.2e-25 on a flat 64-group graph); the identity
+    candidate's last error is exactly 0.0.
     """
 
     partitions: list
@@ -168,6 +198,13 @@ def identify_partitions_and_errors(
     its own estimation noise (see ``bootstrap_perturb_affinity``): robust
     (non-degenerate) partitions keep small errors under perturbation.  Below three groups
     there is no size to test and every error is zero.
+
+    The perturbations are drawn in blocks of ``max(1, BLOCK_ENTRIES // k**2)``,
+    draw ``zeta`` from its own ``("sample", zeta)`` substream, so each
+    perturbed matrix is the one ``bootstrap_perturb_affinity`` gives for that
+    seed.  A block is decomposed by one ``structural_eigenvectors`` call, and
+    each candidate is scored by one ``projection_error`` call on the
+    ``(k, r * b)`` block of the first ``r`` vectors of all ``b`` draws.
     """
     if z < 1:
         raise ValueError("number of perturbation samples must be >= 1")
@@ -184,13 +221,18 @@ def identify_partitions_and_errors(
         partitions.append(best_eep_partition(vectors[:, :r], r))
     partitions.append(Partition.identity(k))
     errors = np.zeros(k)
-    for zeta in range(z):
-        perturbed = bootstrap_perturb_affinity(
-            omega, seed=substream_seed(seed, "sample", zeta)
-        )
-        _, pert_vectors = structural_eigenvectors(perturbed.values)
+    block = max(1, BLOCK_ENTRIES // k**2)
+    for start in range(0, z, block):
+        zetas = range(start, min(start + block, z))
+        seeds = [substream_seed(seed, "sample", zeta) for zeta in zetas]
+        _, pert_vectors = structural_eigenvectors(_bootstrap_draws(omega, seeds))
+        # (vector, draw, row) slabs: the first r vectors of every draw,
+        # read as the column-major (k, r * b) block of their columns
+        slabs = pert_vectors.transpose(2, 0, 1)
         for r in range(1, k + 1):
-            errors[r - 1] += projection_error(partitions[r - 1], pert_vectors[:, :r])
+            errors[r - 1] += projection_error(
+                partitions[r - 1], slabs[:r].reshape(r * len(seeds), k).T
+            )
     errors /= z
     return LevelCandidates(partitions=partitions, mean_errors=errors)
 
@@ -204,9 +246,49 @@ class MsleFit:
     identifiable: bool = True
 
 
-def _msle(mean_errors: np.ndarray, null_values: np.ndarray, sigma: float) -> float:
-    diff = np.log(mean_errors + 1.0) - np.log(sigma * null_values + 1.0)
-    return float(np.mean(diff * diff))
+def _msle(log_errors: np.ndarray, null_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """MSLE of each null curve (a row of ``null_rows``) scaled by its sigma."""
+    diff = log_errors - np.log(sigma[:, None] * null_rows + 1.0)
+    return np.mean(diff * diff, axis=1)
+
+
+def _golden_search(
+    mean_errors: np.ndarray, null_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section MSLE fit of every row of ``null_rows``, all at once.
+
+    Each row takes the steps of a scalar golden-section search on the
+    bracket ``SIGMA_BRACKET``; a row stops, and keeps its values, once
+    its own bracket is at most ``SIGMA_TOL``.  Returns the fitted sigmas
+    and their MSLEs.
+    """
+    log_errors = np.log(mean_errors + 1.0)
+    m = null_rows.shape[0]
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a = np.full(m, SIGMA_BRACKET[0])
+    b = np.full(m, SIGMA_BRACKET[1])
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = _msle(log_errors, null_rows, c)
+    fd = _msle(log_errors, null_rows, d)
+    while (live := np.flatnonzero(b - a > SIGMA_TOL)).size:
+        # where fc < fd the minimum lies in [a, d]: d moves to c and a new
+        # c is probed; elsewhere it lies in [c, b] and a new d is probed
+        left = fc[live] < fd[live]
+        new_a = np.where(left, a[live], c[live])
+        new_b = np.where(left, d[live], b[live])
+        probe = np.where(
+            left, new_b - invphi * (new_b - new_a), new_a + invphi * (new_b - new_a)
+        )
+        f_probe = _msle(log_errors, null_rows[live], probe)
+        c[live], d[live] = np.where(left, probe, d[live]), np.where(left, c[live], probe)
+        fc[live], fd[live] = (
+            np.where(left, f_probe, fd[live]),
+            np.where(left, fc[live], f_probe),
+        )
+        a[live], b[live] = new_a, new_b
+    sigma = (a + b) / 2.0
+    return sigma, _msle(log_errors, null_rows, sigma)
 
 
 def fit_msle(mean_errors: np.ndarray, null_values: np.ndarray) -> MsleFit:
@@ -224,29 +306,13 @@ def fit_msle(mean_errors: np.ndarray, null_values: np.ndarray) -> MsleFit:
         raise ValueError(
             f"{mean_errors.shape[0]} errors vs curve of length {null_values.shape[0]}"
         )
+    sigma, msle = _golden_search(mean_errors, null_values[None])
     if np.all(null_values == 0.0):
+        # a zero curve scales to zero: its MSLE is the same at every sigma
         return MsleFit(
-            sigma=1.0,
-            msle=_msle(mean_errors, null_values, 1.0),
-            identifiable=not np.any(mean_errors > 0.0),
+            sigma=1.0, msle=float(msle[0]), identifiable=not np.any(mean_errors > 0.0)
         )
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = SIGMA_BRACKET
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _msle(mean_errors, null_values, c)
-    fd = _msle(mean_errors, null_values, d)
-    while b - a > SIGMA_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _msle(mean_errors, null_values, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _msle(mean_errors, null_values, d)
-    sigma = (a + b) / 2.0
-    return MsleFit(sigma=sigma, msle=_msle(mean_errors, null_values, sigma))
+    return MsleFit(sigma=float(sigma[0]), msle=float(msle[0]))
 
 
 def find_relevant_minima(mean_errors) -> list[int]:
@@ -254,8 +320,10 @@ def find_relevant_minima(mean_errors) -> list[int]:
 
     Forward selection over candidate sizes ``2..k-1``: each round fits every
     remaining candidate added to the accepted conditioning set (each curve
-    independently sigma-fitted) and accepts the best one iff it strictly
-    lowers the MSLE; stops when no candidate improves.  Best-improvement
+    independently sigma-fitted, all of a round's curves in one vectorized
+    golden-section search whose rows give ``fit_msle``'s values) and
+    accepts the best one iff it strictly lowers the MSLE, the smaller size
+    on a tie; stops when no candidate improves.  Best-improvement
     order matters: explaining the deepest trough first stops shallower
     candidates from free-riding on an unexplained neighbour.  An empty
     result means no valid coarser level exists.
@@ -268,18 +336,15 @@ def find_relevant_minima(mean_errors) -> list[int]:
     accepted: list[int] = []
     remaining = list(range(2, k))
     while remaining:
-        scored = min(
-            (
-                fit_msle(mean_errors, null_curve(k, sorted(accepted + [kappa]))).msle,
-                kappa,
-            )
-            for kappa in remaining
+        curves = np.array(
+            [null_curve(k, sorted(accepted + [kappa])) for kappa in remaining]
         )
-        if scored[0] >= best:
+        _, msle = _golden_search(mean_errors, curves)
+        i = int(np.argmin(msle))  # the first minimum: the smaller kappa on a tie
+        if msle[i] >= best:
             break
-        best = scored[0]
-        accepted.append(scored[1])
-        remaining.remove(scored[1])
+        best = float(msle[i])
+        accepted.append(remaining.pop(i))
     return sorted(accepted)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hierspect.hierarchy as hierarchy
 from hierspect import (
     AffinityMatrix,
     Partition,
@@ -19,6 +20,7 @@ from hierspect import (
     structural_eigenvectors,
 )
 from hierspect.graph import relative_partition
+from hierspect.rng import substream_seed
 
 
 class TestExpectedError:
@@ -155,6 +157,73 @@ class TestStructuralEigenvectors:
         assert all(a >= b - 1e-12 for a, b in zip(mags, mags[1:]))
 
 
+    @staticmethod
+    def _stack(k, rng):
+        """Random symmetric weights, some with zero entries, an all-zero
+        matrix and, for k >= 3, a cycle, whose walk eigenvalues tie in |λ|."""
+        mats = []
+        for j in range(6):
+            w = rng.random((k, k))
+            w = (w + w.T) / 2
+            if j % 2:
+                w[w < 0.5] = 0.0
+            mats.append(w)
+        mats.append(np.zeros((k, k)))
+        if k >= 3:
+            cycle = np.roll(np.eye(k), 1, axis=1)
+            mats.append(cycle + cycle.T)
+        return np.array(mats)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6, 8, 27, 64])
+    def test_stack_bit_equal_to_per_matrix_calls(self, k):
+        stack = self._stack(k, np.random.default_rng(k))
+        values, vectors = structural_eigenvectors(stack)
+        assert values.shape == (len(stack), k) and vectors.shape == (len(stack), k, k)
+        for j, weights in enumerate(stack):
+            lam, vecs = structural_eigenvectors(weights)
+            assert values[j].tobytes() == lam.tobytes(), j
+            assert np.ascontiguousarray(vectors[j]).tobytes() == vecs.tobytes(), j
+
+    def test_tied_magnitudes_keep_stable_order(self):
+        # a 6-cycle's walk matrix is A/2: eigenvalues 1, ±1/2 (twice each), -1
+        cycle = np.roll(np.eye(6), 1, axis=1)
+        lam, _ = structural_eigenvectors(cycle + cycle.T)
+        assert lam[0] == pytest.approx(1.0)
+        mags = np.abs(lam[1:])
+        assert all(a >= b - 1e-12 for a, b in zip(mags, mags[1:]))
+        assert np.sum(np.isclose(mags, 0.5)) == 4
+
+    def test_vector_slabs_are_contiguous(self):
+        stack = self._stack(8, np.random.default_rng(3))
+        _, vectors = structural_eigenvectors(stack)
+        assert vectors.transpose(2, 0, 1).flags.c_contiguous
+
+
+def _scalar_fit(mean_errors, null_values):
+    """Reference: scalar golden-section MSLE fit, one probe per step."""
+
+    def msle(sigma):
+        diff = np.log(mean_errors + 1.0) - np.log(sigma * null_values + 1.0)
+        return float(np.mean(diff * diff))
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = hierarchy.SIGMA_BRACKET
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = msle(c), msle(d)
+    while b - a > hierarchy.SIGMA_TOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = msle(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = msle(d)
+    sigma = (a + b) / 2.0
+    return sigma, msle(sigma), b - a
+
+
 class TestFitMsle:
     def test_perfect_proportional_fit(self):
         curve = null_curve(20)
@@ -180,6 +249,39 @@ class TestFitMsle:
         with pytest.raises(ValueError):
             fit_msle(np.zeros(5), null_curve(6))
 
+    @pytest.mark.parametrize("k", [3, 5, 12, 27, 64])
+    def test_vectorized_fit_bit_equal_per_curve(self, k):
+        # every conditioning curve of a round, as find_relevant_minima fits
+        # them, against fit_msle and the scalar search on each curve alone
+        rng = np.random.default_rng(k)
+        mean_errors = null_curve(k, (2,) if k > 3 else ()) * rng.uniform(0.2, 2.0, k)
+        mean_errors += 0.01 * rng.random(k)
+        mean_errors[-1] = 0.0
+        curves = np.array([null_curve(k)] + [null_curve(k, (kappa,)) for kappa in range(2, k)])
+        sigma, msle = hierarchy._golden_search(mean_errors, curves)
+        for row, curve in enumerate(curves):
+            fit = fit_msle(mean_errors, curve)
+            ref_sigma, ref_msle, _ = _scalar_fit(mean_errors, curve)
+            assert msle[row].tobytes() == np.float64(fit.msle).tobytes(), row
+            assert (sigma[row], msle[row]) == (ref_sigma, ref_msle), row
+            if curve.any():  # a zero curve's sigma is 1 by definition
+                assert fit.sigma == ref_sigma, row
+
+    def test_rows_stop_on_their_own_brackets(self, monkeypatch):
+        # the two fits' brackets differ in their last bits after the same
+        # number of steps; with the tolerance between them, the wider row
+        # takes one step more than the other
+        mean_errors = 0.5 * null_curve(12)
+        curves = np.array([null_curve(12), null_curve(12, (4,))])
+        widths = [_scalar_fit(mean_errors, curve)[2] for curve in curves]
+        assert widths[0] != widths[1]
+        monkeypatch.setattr(hierarchy, "SIGMA_TOL", (widths[0] + widths[1]) / 2)
+        refs = [_scalar_fit(mean_errors, curve) for curve in curves]
+        final = sorted(width for _, _, width in refs)
+        assert final[1] / final[0] > 1.5  # one row took one step more
+        sigma, msle = hierarchy._golden_search(mean_errors, curves)
+        assert [(s, m) for s, m, _ in refs] == list(zip(sigma, msle))
+
 
 class TestFindRelevantMinima:
     def test_exact_conditional_curve_recovered(self):
@@ -196,6 +298,19 @@ class TestFindRelevantMinima:
     def test_short_curves(self):
         assert find_relevant_minima(np.array([0.0, 0.0])) == []
         assert find_relevant_minima(np.array([0.0])) == []
+
+    def test_tie_picks_smaller_kappa(self, monkeypatch):
+        # k = 6: sizes 3 and 5 tie in the first round, and the second round
+        # improves nothing, so the smaller size alone is kept
+        rounds = iter([np.array([0.5, 0.1, 0.3, 0.1]), np.array([0.5, 0.5, 0.5])])
+
+        def fake_search(mean_errors, curves):
+            if len(curves) == 1:  # the unconditional fit
+                return np.ones(1), np.ones(1)
+            return np.ones(len(curves)), next(rounds)
+
+        monkeypatch.setattr(hierarchy, "_golden_search", fake_search)
+        assert find_relevant_minima(np.zeros(6)) == [3]
 
 
 class TestIdentifyPartitionsAndErrors:
@@ -226,6 +341,55 @@ class TestIdentifyPartitionsAndErrors:
         assert error(3) <= 1e-16
         assert error(1) <= 1e-20
         assert error(9) == 0.0
+
+    @staticmethod
+    def _reference_loop(omega, partitions, z, seed):
+        """Reference: one perturbation at a time, each vector block scored
+        against each candidate on its own.  Returns the perturbed matrices
+        and the mean errors."""
+        matrices = []
+        errors = np.zeros(omega.k)
+        for zeta in range(z):
+            perturbed = bootstrap_perturb_affinity(
+                omega, seed=substream_seed(seed, "sample", zeta)
+            )
+            matrices.append(perturbed.values)
+            _, vectors = structural_eigenvectors(perturbed.values)
+            for r in range(1, omega.k + 1):
+                errors[r - 1] += projection_error(partitions[r - 1], vectors[:, :r])
+        return np.array(matrices), errors / z
+
+    @pytest.mark.parametrize("z", [1, 17, 100])
+    @pytest.mark.parametrize("k", [3, 8, 27, 64])
+    def test_blocked_scoring_matches_reference_loop(self, k, z, monkeypatch):
+        rng = np.random.default_rng(100 * k + z)
+        values = rng.random((k, k))
+        omega = AffinityMatrix(
+            values=(values + values.T) / 2, group_sizes=rng.integers(5, 60, size=k)
+        )
+        stacks = []
+        real = hierarchy.structural_eigenvectors
+
+        def recording(weights):
+            if np.ndim(weights) == 3:
+                stacks.append(np.array(weights))
+            return real(weights)
+
+        monkeypatch.setattr(hierarchy, "structural_eigenvectors", recording)
+        cands = identify_partitions_and_errors(omega, z=z, seed=5)
+        monkeypatch.undo()
+        matrices, errors = self._reference_loop(omega, cands.partitions, z, seed=5)
+        block = max(1, hierarchy.BLOCK_ENTRIES // k**2)
+        assert [len(s) for s in stacks] == [
+            min(block, z - start) for start in range(0, z, block)
+        ]
+        assert np.concatenate(stacks).tobytes() == matrices.tobytes()
+        # the first error is rounding noise near zero: compare it on the
+        # scale of the curve
+        np.testing.assert_allclose(
+            cands.mean_errors, errors, rtol=1e-12, atol=1e-12 * errors.max()
+        )
+        assert cands.mean_errors[-1] == 0.0
 
     def test_trivial_for_small_k(self):
         omega = AffinityMatrix(values=np.eye(2) * 0.5, group_sizes=np.array([4, 4]))
