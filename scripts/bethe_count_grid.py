@@ -7,13 +7,14 @@ Run from any directory; the package is imported from this checkout's
 ``src/``.  For each graph of the grid it prints one JSON line: the graph
 spec, the detect seed, k-plus, k-minus, the sha256 of the assignment
 bytes that ``cluster_bethe_hessian`` returns, the stage-one objective (the
-``projection_error`` of that assignment against the Bethe Hessian vectors,
-as its ``kmeans`` call returns it; null when k-hat is 1 and no k-means
-runs), the AMI of that assignment against the planted finest level, the
-level sizes of ``infer_hierarchy``, the sha256 of its document as
-``hierspect detect`` writes it (``dump_json`` of ``hierarchy_to_dict``),
-and the sha256 of the document's ``diagnostics`` with every float written
-as ``%.12g`` (``diagnostics_sha256_12``).
+``projection_error`` of that assignment against the Bethe Hessian vectors
+that its ``kmeans`` call clusters, computed from the call's arguments;
+null when k-hat is 1 and no k-means runs), the AMI of that assignment
+against the planted finest level, the level sizes of ``infer_hierarchy``,
+the sha256 of its document as ``hierspect detect`` writes it
+(``dump_json`` of ``hierarchy_to_dict``), and the sha256 of the
+document's ``diagnostics`` with every float written as ``%.12g``
+(``diagnostics_sha256_12``).
 Run it on two versions of the code and ``diff`` the outputs to show that a
 change to the eigensolver, the k-means or the candidate scoring leaves the
 output as it was, including the marginal counts near the detectability
@@ -57,6 +58,7 @@ from hierspect import (  # noqa: E402
     generate_hierarchical,
     generate_planted_partition,
     infer_hierarchy,
+    projection_error,
 )
 from hierspect.serialize import dump_json, hierarchy_to_dict  # noqa: E402
 
@@ -98,21 +100,23 @@ def hierarchical(spec: SynthSpec, detect_seed: int):
 
 
 def stage_one(graph, seed: int):
-    """``cluster_bethe_hessian`` and the objective of its ``kmeans`` call
-    (None when no k-means runs)."""
+    """``cluster_bethe_hessian`` and the ``projection_error`` of its
+    ``kmeans`` partition against the points of that call (None when no
+    k-means runs)."""
     real = spectral.kmeans
-    results = []
+    objectives = []
 
     def recording(*args, **kwargs):
-        results.append(real(*args, **kwargs))
-        return results[-1]
+        partition = real(*args, **kwargs)
+        objectives.append(projection_error(partition, args[0]))
+        return partition
 
     spectral.kmeans = recording
     try:
         res = cluster_bethe_hessian(graph, seed=seed)
     finally:
         spectral.kmeans = real
-    return res, results[0].objective if results else None
+    return res, objectives[0] if objectives else None
 
 
 def detect_json_sha256(result, seed: int, directory: Path) -> str:

@@ -7,28 +7,25 @@ removing group-wise means.  It is zero exactly when every column of ``V``
 is constant within each group.  Minimizing it over partitions with ``k``
 groups is the same problem as k-means on the rows of ``V``.
 ``projection_error``, summed by ``Partition.group_means``, is the one
-objective: perturbation scoring and every ``kmeans`` run call it.
+objective: perturbation scoring calls it, and so does every caller that
+wants the error of a ``kmeans`` partition.
 
 Two searches minimize it.  ``best_eep_partition`` proposes the candidates
 of the coarser levels without a seed: Ward's greedy merging of the same
 squared error, cut at ``k`` groups, then Hartigan single-point moves to a
-local minimum.  ``kmeans`` runs Lloyd's algorithm: the finest level is one
-run from the centres that stage one picks (``centers``), and without
-centres it is the best of seeded k-means++ restarts.
+local minimum.  ``kmeans(points, centers)`` is one run of Lloyd's
+algorithm from given centres, the run that stage one makes from the rows
+its pivoted QR picks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Partition
-from .rng import substream
 
-__all__ = ["projection_error", "kmeans", "best_eep_partition", "KMeansResult"]
+__all__ = ["projection_error", "kmeans", "best_eep_partition"]
 
-DEFAULT_RESTARTS = 10
 MAX_ITER = 300
 
 
@@ -45,12 +42,6 @@ def _as_points(x) -> np.ndarray:
     if x.ndim not in (1, 2):
         raise ValueError(f"expected a vector or 2-d block of points, got {x.shape}")
     return x[:, None] if x.ndim == 1 else x
-
-
-@dataclass(frozen=True)
-class KMeansResult:
-    partition: Partition
-    objective: float
 
 
 def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
@@ -71,34 +62,6 @@ def _sq_dist(norms: np.ndarray, twice: np.ndarray, centers: np.ndarray) -> np.nd
     d2 = norms[:, None] - twice @ centers.T + np.sum(centers * centers, axis=1)[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
-
-
-def _seed(
-    points: np.ndarray, norms: np.ndarray, twice: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Greedy distance-weighted (k-means++ style) seeding of one restart.
-
-    Each step samples a few distance-weighted candidates and keeps the one
-    that reduces the seeding potential most; this matters when k is large
-    relative to the number of distinct point locations.
-    """
-    m = points.shape[0]
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(m)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            # every point sits on a center; equal columns keep the first under argmin
-            candidates = rng.integers(m, size=1)
-        else:
-            candidates = rng.choice(m, size=trials, p=d2 / total)
-        cand_d2 = np.minimum(d2[:, None], _sq_dist(norms, twice, points[candidates]))
-        best = np.argmin(cand_d2.sum(axis=0))
-        centers[j] = points[candidates[best]]
-        d2 = cand_d2[:, best]
-    return centers
 
 
 def _repair_empty(labels: np.ndarray, counts: np.ndarray, d2: np.ndarray) -> None:
@@ -133,55 +96,24 @@ def _lloyd(
     return labels
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    restarts: int = DEFAULT_RESTARTS,
-    seed: int = 0,
-    *,
-    centers: np.ndarray | None = None,
-) -> KMeansResult:
-    """Lloyd's algorithm from given ``centers``, or the best of ``restarts``
-    runs with k-means++ seeding.
+def kmeans(points: np.ndarray, centers: np.ndarray) -> Partition:
+    """One run of Lloyd's algorithm from ``centers``, until the labels stop
+    changing.
 
-    Given ``centers`` (``k`` rows of the points' dimension), one Lloyd run
-    starts from them; ``restarts`` and ``seed`` are not used.  Otherwise
-    the restarts run one after another; each seeds its centers from its own
-    substream and runs Lloyd's iterations from them.  Deterministic for
-    a fixed seed: equal-objective ties break toward the lexicographically
-    smallest (first-occurrence-relabeled) assignment.
+    ``centers`` has one row per group (k of them, 1 <= k <= m) and the
+    points' dimension.  A group that empties takes the point farthest from
+    its centre, so the partition has exactly k groups; its labels are
+    numbered by each group's first point.
     """
     points = _as_points(points)
-    m = points.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} must be between 1 and the number of points {m}")
-    norms = np.sum(points * points, axis=1)
-    twice = 2.0 * points
-    if centers is not None:
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.shape != (k, points.shape[1]):
-            raise ValueError(
-                f"centers have shape {centers.shape}, expected {(k, points.shape[1])}"
-            )
-        starts = [centers]
-    elif restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    else:
-        starts = (
-            _seed(points, norms, twice, k, substream(seed, "kmeans", ridx))
-            for ridx in range(restarts)
+    centers = _as_points(centers)
+    m, dim = points.shape
+    if centers.shape[1] != dim or not 1 <= centers.shape[0] <= m:
+        raise ValueError(
+            f"centers have shape {centers.shape}, expected (k, {dim}) with 1 <= k <= {m}"
         )
-    best = None
-    best_obj = np.inf
-    best_key = None
-    for start in starts:
-        labels = _lloyd(points, norms, twice, start)
-        partition = Partition.from_labels(_relabel_first_occurrence(labels))
-        obj = projection_error(partition, points)
-        key = tuple(partition.assignment.tolist())
-        if obj < best_obj or (obj == best_obj and key < best_key):
-            best, best_obj, best_key = partition, obj, key
-    return KMeansResult(partition=best, objective=best_obj)
+    labels = _lloyd(points, np.sum(points * points, axis=1), 2.0 * points, centers)
+    return Partition.from_labels(_relabel_first_occurrence(labels))
 
 
 def _ward_cut(points: np.ndarray, k: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Named random substreams derived from a single user seed.
 
 Every stochastic component draws from ``substream(seed, *tokens)`` with a
-stable token path (e.g. ``("kmeans", restart_index)``), so results do not
+stable token path (e.g. ``("sample", zeta)``), so results do not
 depend on call order or scheduling and components can be re-seeded
 independently.
 """

@@ -250,9 +250,9 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     else:
         # the pivoted QR picks, one at a time, the row of q farthest from
         # the span of the rows picked before: about one row per group, so
-        # one Lloyd run from them needs no restarts
+        # one Lloyd run from them is enough
         pivots = scipy.linalg.qr(q.T, mode="r", pivoting=True)[1][:k_hat]
-        partition = kmeans(q, k_hat, centers=q[pivots]).partition
+        partition = kmeans(q, q[pivots])
     return BetheClustering(
         k_hat=k_hat, partition=partition, r=r, k_plus=k_plus, k_minus=k_minus
     )

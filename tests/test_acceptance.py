@@ -263,33 +263,38 @@ def test_criterion_5_expected_error_formulas():
 def test_criterion_6_kmeans_duality():
     """The k-means objective equals the projection error, partition by
     partition, verified exhaustively on small instances."""
+
+    def wcss(v, labels, k):
+        total = 0.0
+        for g in range(k):
+            pts = v[labels == g]
+            total += float(np.sum((pts - pts.mean(axis=0)) ** 2))
+        return total
+
     rng = np.random.default_rng(123)
     worst = 0.0
     checked = 0
-    for trial in range(200):
+    for _ in range(200):
         n = int(rng.integers(4, 11))
         k = int(rng.integers(2, 4))
         d = int(rng.integers(1, 4))
         v = rng.standard_normal((n, d))
-        res = kmeans(v, k, restarts=10, seed=trial)
-        worst = max(worst, abs(res.objective - projection_error(res.partition, v)))
+        part = kmeans(v, v[:k])
+        worst = max(worst, abs(wcss(v, part.assignment, k) - projection_error(part, v)))
         if n <= 7:
             # exhaustive: every k-group partition has equal objectives
             for labels in itertools.product(range(k), repeat=n):
                 if len(set(labels)) != k:
                     continue
-                p = Partition.from_labels(np.array(labels))
-                wcss = 0.0
-                for g in range(k):
-                    pts = v[np.array(labels) == g]
-                    wcss += float(np.sum((pts - pts.mean(axis=0)) ** 2))
-                worst = max(worst, abs(wcss - projection_error(p, v)))
+                labels = np.array(labels)
+                p = Partition.from_labels(labels)
+                worst = max(worst, abs(wcss(v, labels, k) - projection_error(p, v)))
                 checked += 1
     ok = worst <= 1e-10
     _report(
         "6",
         ok,
-        f"max |kmeans objective - projection error| = {worst:.2e} over 200 "
+        f"max |k-means WCSS - projection error| = {worst:.2e} over 200 "
         f"instances and {checked} exhaustively enumerated partitions (tol 1e-10)",
     )
 

@@ -485,7 +485,7 @@ class TestInferHierarchy:
         assert len(res.levels) == 1
         assert res.levels[0].k == 1
 
-    def test_config_z_and_restarts_flow(self):
+    def test_z_flows(self):
         spec = SynthSpec(
             model="flat", n=160, snr=4.0, avg_degree=16.0, schedule=(16,), seed=12,
         )

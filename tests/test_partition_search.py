@@ -4,13 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import cut_tree, ward
 
 import hierspect.partition_search as ps
 from hierspect import Partition, best_eep_partition, kmeans, projection_error
-from hierspect.rng import substream
 
 
 def brute_force_min_projection_error(vectors, k):
@@ -149,14 +148,13 @@ class TestVectorIsOneColumn:
             p.group_means(self.x.reshape(4, 1, 1))
 
     def test_kmeans(self):
-        res = kmeans(self.x, 2, seed=0)
-        np.testing.assert_array_equal(res.partition.assignment, [0, 0, 1, 1])
-        assert res.objective == 2.5
-        single = kmeans(self.x, 1, seed=0)
-        assert single.partition.n == 4
-        assert single.objective == projection_error(Partition.single_group(4), self.x)
+        part = kmeans(self.x, self.x[[0, 1]])
+        np.testing.assert_array_equal(part.assignment, [0, 0, 1, 1])
+        assert projection_error(part, self.x) == 2.5
+        single = kmeans(self.x, self.x[:1])
+        np.testing.assert_array_equal(single.assignment, [0, 0, 0, 0])
         with pytest.raises(ValueError, match="vector or 2-d block"):
-            kmeans(self.x.reshape(4, 1, 1), 2)
+            kmeans(self.x.reshape(4, 1, 1), self.x[:2])
 
     def test_best_eep_partition(self):
         part = best_eep_partition(self.x, 2)
@@ -167,78 +165,74 @@ class TestVectorIsOneColumn:
 
 class TestKMeans:
     def test_two_well_separated_clusters(self):
+        # both centres start in the first cluster; one Lloyd step splits them
         pts = np.array([[0.0], [0.1], [10.0], [10.1]])
-        res = kmeans(pts, 2, restarts=5, seed=0)
-        np.testing.assert_array_equal(res.partition.assignment, [0, 0, 1, 1])
-        assert res.objective == pytest.approx(0.01, abs=1e-12)
+        part = kmeans(pts, pts[[0, 1]])
+        np.testing.assert_array_equal(part.assignment, [0, 0, 1, 1])
+        assert projection_error(part, pts) == pytest.approx(0.01, abs=1e-12)
 
     def test_k_equals_m(self):
         pts = np.arange(5.0)[:, None]
-        res = kmeans(pts, 5, seed=1)
-        assert res.objective == 0.0
-        assert res.partition.k == 5
+        part = kmeans(pts, pts)
+        assert projection_error(part, pts) == 0.0
+        assert part.k == 5
 
     def test_single_cluster_total_variance(self):
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((20, 3))
-        res = kmeans(pts, 1, seed=2)
+        part = kmeans(pts, pts[:1])
         expected = np.sum((pts - pts.mean(axis=0)) ** 2)
-        assert res.objective == pytest.approx(expected, rel=1e-12)
+        assert projection_error(part, pts) == pytest.approx(expected, rel=1e-12)
 
     def test_k_larger_than_m_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans(np.zeros((3, 1)), 4)
+        with pytest.raises(ValueError, match="centers"):
+            kmeans(np.zeros((3, 1)), np.zeros((4, 1)))
 
     def test_duplicated_points_no_empty_clusters(self):
         pts = np.zeros((9, 2))
-        res = kmeans(pts, 3, seed=3)
-        assert res.partition.k == 3
-        assert res.partition.group_sizes.min() >= 1
-        assert res.objective == 0.0
-
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(6)
-        pts = rng.standard_normal((40, 3))
-        r1 = kmeans(pts, 4, restarts=7, seed=42)
-        r2 = kmeans(pts, 4, restarts=7, seed=42)
-        np.testing.assert_array_equal(r1.partition.assignment, r2.partition.assignment)
-        assert r1.objective == r2.objective
+        part = kmeans(pts, pts[:3])
+        assert part.k == 3
+        assert part.group_sizes.min() >= 1
+        assert projection_error(part, pts) == 0.0
 
     def test_labels_canonical_first_occurrence(self):
+        # started from the groups' points in reverse order
         rng = np.random.default_rng(7)
         pts = np.vstack([rng.normal(i * 10, 0.1, (5, 2)) for i in range(3)])
-        res = kmeans(pts, 3, seed=8)
-        assert res.partition.assignment[0] == 0
-        firsts = [np.flatnonzero(res.partition.assignment == g)[0] for g in range(3)]
+        part = kmeans(pts, pts[[14, 7, 0]])
+        assert part.assignment[0] == 0
+        firsts = [np.flatnonzero(part.assignment == g)[0] for g in range(3)]
         assert firsts == sorted(firsts)
 
 
 class TestGivenCenters:
-    """Given centres, ``kmeans`` is one Lloyd run from them."""
+    """``kmeans`` is one Lloyd run from the given centres."""
 
-    def test_equals_one_lloyd_run_for_any_seed(self):
+    def test_equals_one_lloyd_run(self):
         rng = np.random.default_rng(12)
         points = rng.standard_normal((60, 3))
         centers = points[[3, 17, 40, 8]]
         labels = ps._lloyd(points, np.sum(points * points, axis=1), 2.0 * points, centers)
         expected = Partition.from_labels(ps._relabel_first_occurrence(labels))
-        for restarts, seed in [(1, 0), (10, 7), (3, 123)]:
-            res = kmeans(points, 4, restarts=restarts, seed=seed, centers=centers)
-            assert res.partition.assignment.tobytes() == expected.assignment.tobytes()
-            assert res.objective == projection_error(expected, points)
+        part = kmeans(points, centers)
+        assert part.assignment.tobytes() == expected.assignment.tobytes()
 
-    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2,), (2, 2, 1)])
-    def test_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="centers"):
-            kmeans(np.zeros((5, 2)), 2, centers=np.zeros(shape))
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 3), "centers"), ((2,), "centers"), ((6, 2), "centers"), ((0, 2), "centers"),
+         ((2, 2, 1), "vector or 2-d block")],
+    )
+    def test_wrong_shape_rejected(self, shape, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans(np.zeros((5, 2)), np.zeros(shape))
 
     def test_duplicate_centers_give_k_groups(self):
         # twelve points at three locations, started from two copies of the
         # first location: the empty group is repaired and then finds its own
         points = np.repeat(np.eye(3), 4, axis=0)
-        res = kmeans(points, 3, centers=points[[0, 0, 4]])
-        np.testing.assert_array_equal(res.partition.assignment, np.repeat([0, 1, 2], 4))
-        assert res.objective == 0.0
+        part = kmeans(points, points[[0, 0, 4]])
+        np.testing.assert_array_equal(part.assignment, np.repeat([0, 1, 2], 4))
+        assert projection_error(part, points) == 0.0
 
 
 def _reference_sq_dist(points, centers):
@@ -251,28 +245,8 @@ def _reference_sq_dist(points, centers):
     return d2
 
 
-def _reference_init_plus_plus(points, k, rng):
-    m = points.shape[0]
-    trials = 2 + int(np.log(k)) if k > 1 else 1
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[rng.integers(m)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            candidates = rng.integers(m, size=1)
-        else:
-            candidates = rng.choice(m, size=trials, p=d2 / total)
-        cand_d2 = np.minimum(d2[:, None], _reference_sq_dist(points, points[candidates]))
-        best = int(np.argmin(cand_d2.sum(axis=0)))
-        centers[j] = points[candidates[best]]
-        d2 = cand_d2[:, best]
-    return centers
-
-
-def _reference_lloyd(points, k, rng):
-    m = points.shape[0]
-    centers = _reference_init_plus_plus(points, k, rng)
+def _reference_lloyd(points, centers):
+    m, k = points.shape[0], centers.shape[0]
     labels = np.full(m, -1, dtype=np.int64)
     for _ in range(ps.MAX_ITER):
         d2 = _reference_sq_dist(points, centers)
@@ -301,21 +275,15 @@ def _reference_relabel(labels):
     return np.array([first.setdefault(g, len(first)) for g in labels.tolist()], dtype=np.int64)
 
 
-def reference_kmeans(points, k, restarts, seed, stream=substream):
-    """One restart at a time, with ``Generator.choice`` seeding."""
-    best_labels, best_obj, best_key = None, np.inf, None
-    for ridx in range(restarts):
-        labels = _reference_lloyd(points, k, stream(seed, "kmeans", ridx))
-        labels = _reference_relabel(labels)
-        obj = _add_at_objective(points, labels, k)
-        key = tuple(labels.tolist())
-        if obj < best_obj or (obj == best_obj and key < best_key):
-            best_labels, best_obj, best_key = labels, obj, key
-    return best_labels, best_obj
+def reference_kmeans(points, centers):
+    """One Lloyd run from ``centers``, with ``np.add.at`` means and the
+    empty-cluster repair written out."""
+    return _reference_relabel(_reference_lloyd(points, centers))
 
 
 def _reference_cases():
     rng = np.random.default_rng(20)
+    picks = np.random.default_rng(22)
     for case in range(120):
         m = int(rng.integers(1, 60))
         d = int(rng.integers(1, 6))
@@ -323,57 +291,35 @@ def _reference_cases():
         if layout == 0:
             points = rng.standard_normal((m, d))
         elif layout == 1:
-            # few distinct locations: duplicate points and zero potential
+            # few distinct locations: duplicate points and zero distances
             points = rng.integers(0, 3, (m, d)).astype(np.float64)
         elif layout == 2:
             points = np.asfortranarray(rng.standard_normal((m, d)))
         else:
             points = rng.standard_normal((m, d + 2))[:, :d]
         k = (1, m, int(rng.integers(1, m + 1)))[case % 3]
-        restarts = case % 11 + 1
-        yield points, k, restarts, case
+        # drawn with replacement, so duplicate centres leave groups empty
+        yield points, points[picks.integers(m, size=k)]
 
 
-class _CoarseGenerator(np.random.Generator):
-    """Uniforms on a grid of eighths, so that inverse-CDF draws land exactly
-    on CDF steps and the side of every tie is exercised."""
-
-    def random(self, size=None):
-        return np.floor(super().random(size) * 8.0) / 8.0
-
-
-def _coarse_substream(seed, *tokens):
-    return _CoarseGenerator(substream(seed, *tokens).bit_generator)
-
-
-class TestBatchedRestarts:
-    """``kmeans`` equals the reference, which seeds with ``Generator.choice``,
-    bit for bit."""
+class TestReferenceLloyd:
+    """``kmeans`` equals the reference Lloyd run bit for bit."""
 
     @staticmethod
-    def assert_matches_reference(points, k, restarts, seed, stream=substream):
-        res = kmeans(points, k, restarts=restarts, seed=seed)
-        labels, obj = reference_kmeans(points, k, restarts, seed, stream=stream)
-        assert res.partition.assignment.tobytes() == labels.tobytes()
-        assert res.objective == obj
+    def assert_matches_reference(points, centers):
+        part = kmeans(points, centers)
+        assert part.assignment.tobytes() == reference_kmeans(points, centers).tobytes()
 
     def test_grid(self):
-        for points, k, restarts, seed in _reference_cases():
-            self.assert_matches_reference(points, k, restarts, seed)
+        for points, centers in _reference_cases():
+            self.assert_matches_reference(points, centers)
 
-    def test_grid_with_tied_uniforms(self, monkeypatch):
-        monkeypatch.setattr(ps, "substream", _coarse_substream)
-        for points, k, restarts, seed in _reference_cases():
-            self.assert_matches_reference(
-                points, k, restarts, seed, stream=_coarse_substream
-            )
-
-    @pytest.mark.parametrize("m, k, restarts", [(64, 40, 10), (1000, 16, 7), (2100, 16, 3)])
-    def test_block_sizes(self, m, k, restarts):
+    @pytest.mark.parametrize("m, k", [(64, 40), (1000, 16), (2100, 16)])
+    def test_larger_inputs(self, m, k):
         rng = np.random.default_rng(m)
         centers = rng.standard_normal((k, 3)) * 4.0
         points = centers[rng.integers(k, size=m)] + rng.standard_normal((m, 3))
-        self.assert_matches_reference(points, k, restarts, seed=m + k)
+        self.assert_matches_reference(points, points[rng.integers(m, size=k)])
 
 
 class TestRepairEmpty:
@@ -400,36 +346,44 @@ class TestRepairEmpty:
         assert self.repair([0, 1, 1, 1], [9.0, 1.0, 2.0, 3.0], 3) == [0, 1, 1, 2]
 
 
+def _from_optimum_means(v, k):
+    """The brute-force optimum, and ``kmeans`` started from its group means."""
+    best, labels = brute_force_min_projection_error(v, k)
+    centers = Partition.from_labels(np.array(labels)).group_means(v)
+    return best, kmeans(v, centers)
+
+
 class TestDuality:
     """The k-means objective equals the projection error of its assignment."""
 
     def test_duality_on_random_instances(self):
         rng = np.random.default_rng(9)
-        for trial in range(200):
+        for _ in range(200):
             n = int(rng.integers(4, 11))
             k = int(rng.integers(2, 4))
             d = int(rng.integers(1, 4))
             v = rng.standard_normal((n, d))
-            res = kmeans(v, k, restarts=4, seed=trial)
-            err = projection_error(res.partition, v)
-            assert res.objective == err
+            part = kmeans(v, v[:k])
+            assert part.k == k
+            groups = [v[part.assignment == g] for g in range(k)]
+            wcss = sum(float(np.sum((x - x.mean(axis=0)) ** 2)) for x in groups)
+            assert projection_error(part, v) == pytest.approx(wcss, rel=1e-12, abs=1e-14)
 
-    def test_kmeans_finds_brute_force_optimum_n6(self):
+    def test_kmeans_from_optimum_means_stays_optimal_n6(self):
         rng = np.random.default_rng(10)
         v = rng.standard_normal((6, 2))
-        best, _ = brute_force_min_projection_error(v, 2)
-        res = kmeans(v, 2, restarts=10, seed=11)
-        assert res.objective == pytest.approx(best, abs=1e-10)
+        best, part = _from_optimum_means(v, 2)
+        assert projection_error(part, v) == pytest.approx(best, abs=1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_kmeans_matches_brute_force_small(self, seed):
+    @example(130)
+    def test_kmeans_from_optimum_means_stays_optimal(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 8))
         v = rng.standard_normal((n, 2))
-        best, _ = brute_force_min_projection_error(v, 2)
-        res = kmeans(v, 2, restarts=10, seed=seed)
-        assert res.objective <= best + 1e-10
+        best, part = _from_optimum_means(v, 2)
+        assert projection_error(part, v) <= best + 1e-10
 
 
 class TestBestEEPPartition:
