@@ -12,14 +12,19 @@ that its ``kmeans`` call clusters, computed from the call's arguments;
 null when k-hat is 1 and no k-means runs), the AMI of that assignment
 against the planted finest level, the level sizes of ``infer_hierarchy``,
 the sha256 of its document as ``hierspect detect`` writes it
-(``dump_json`` of ``hierarchy_to_dict``), and the sha256 of the
+(``dump_json`` of ``hierarchy_to_dict``), the sha256 of the
 document's ``diagnostics`` with every float written as ``%.12g``
-(``diagnostics_sha256_12``).
+(``diagnostics_sha256_12``), and the sha256 of the score document of the
+planted levels against the detected levels as ``hierspect eval`` writes it
+(``dump_json`` of ``score_to_dict`` of ``score_hierarchy``;
+``eval_sha256``).
 Run it on two versions of the code and ``diff`` the outputs to show that a
 change to the eigensolver, the k-means or the candidate scoring leaves the
 output as it was, including the marginal counts near the detectability
 threshold; where an assignment changes, the objective and the AMI show
-whether its quality moved.  A change that moves only the last bits of the
+whether its quality moved.  A change to scoring alone should leave every
+field but ``eval_sha256`` as it was, and that one too when its arithmetic
+is the same.  A change that moves only the last bits of the
 mean errors and their fits changes ``detect_sha256`` and keeps
 ``diagnostics_sha256_12``.
 
@@ -59,13 +64,14 @@ from hierspect import (  # noqa: E402
     generate_planted_partition,
     infer_hierarchy,
     projection_error,
+    score_hierarchy,
 )
-from hierspect.serialize import dump_json, hierarchy_to_dict  # noqa: E402
+from hierspect.serialize import dump_json, hierarchy_to_dict, score_to_dict  # noqa: E402
 
 
 def grid():
-    """Yield (spec dict, graph, planted finest partition, detect seed) for
-    every graph of the grid."""
+    """Yield (spec dict, graph, planted partitions fine to coarse, detect
+    seed) for every graph of the grid."""
     for model in ("assortative", "disassortative"):
         for snr in (1.5, 2.0, 3.0):
             for seed in range(3):
@@ -74,7 +80,8 @@ def grid():
                 yield hierarchical(spec, seed + 7)
     for seed in range(40, 45):
         spec = {"model": "er", "n": 2000, "avg_degree": 20.0, "seed": seed}
-        yield (spec, *generate_planted_partition(2000, 1, 20.0, 20.0, seed=seed), seed - 37)
+        graph, planted = generate_planted_partition(2000, 1, 20.0, 20.0, seed=seed)
+        yield spec, graph, [planted], seed - 37
     for snr in (2.0, 4.0):
         for seed in range(2):
             spec = SynthSpec(model="symmetric", n=3**7, snr=snr, avg_degree=20.0,
@@ -96,7 +103,7 @@ def grid():
 def hierarchical(spec: SynthSpec, detect_seed: int):
     """One grid row's inputs for a ``generate_hierarchical`` spec."""
     graph, truth = generate_hierarchical(spec)
-    return vars(spec), graph, truth.partitions[0], detect_seed
+    return vars(spec), graph, truth.partitions, detect_seed
 
 
 def stage_one(graph, seed: int):
@@ -126,6 +133,15 @@ def detect_json_sha256(result, seed: int, directory: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def eval_json_sha256(truth, result, directory: Path) -> str:
+    """sha256 of the bytes ``hierspect eval`` writes for the planted levels
+    against the detection's levels."""
+    path = directory / "score.json"
+    inferred = [level.composed_partition for level in result.levels]
+    dump_json(score_to_dict(score_hierarchy(truth, inferred)), path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def rounded(value):
     """``value`` with every float replaced by its ``%.12g`` string."""
     if isinstance(value, float):
@@ -152,7 +168,7 @@ def main() -> None:
             with warnings.catch_warnings():
                 # AMI of two one-group partitions (the ER rows) warns
                 warnings.simplefilter("ignore")
-                finest_ami = ami(res.partition, truth)
+                finest_ami = ami(res.partition, truth[0])
             result = infer_hierarchy(graph, seed=detect_seed)
             row = {"spec": spec, "detect_seed": detect_seed, "k_plus": res.k_plus,
                    "k_minus": res.k_minus, "assignment_sha256": digest,
@@ -160,7 +176,8 @@ def main() -> None:
                    "finest_ami": round(finest_ami, 6),
                    "levels": [level.k for level in result.levels],
                    "detect_sha256": detect_json_sha256(result, detect_seed, Path(tmp)),
-                   "diagnostics_sha256_12": diagnostics_sha256_12(result)}
+                   "diagnostics_sha256_12": diagnostics_sha256_12(result),
+                   "eval_sha256": eval_json_sha256(truth, result, Path(tmp))}
             print(json.dumps(row, sort_keys=True), flush=True)
 
 

@@ -29,10 +29,14 @@ __all__ = [
 ]
 
 
-def _labels(partition) -> np.ndarray:
+def _partition(partition) -> Partition:
     if isinstance(partition, Partition):
-        return partition.assignment
-    return Partition.from_labels(np.asarray(partition)).assignment
+        return partition
+    return Partition.from_labels(np.asarray(partition))
+
+
+def _labels(partition) -> np.ndarray:
+    return _partition(partition).assignment
 
 
 def _contingency(labels1: np.ndarray, labels2: np.ndarray) -> np.ndarray:
@@ -41,12 +45,24 @@ def _contingency(labels1: np.ndarray, labels2: np.ndarray) -> np.ndarray:
     return np.bincount(labels1 * k2 + labels2, minlength=k1 * k2).reshape(k1, k2)
 
 
+def _entropy(counts: np.ndarray, n: int) -> float:
+    p = counts / n
+    p = p[p > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
 def entropy(labels) -> float:
     """Shannon entropy (nats) of a label assignment."""
     labels = _labels(labels)
-    p = np.bincount(labels) / labels.size
-    p = p[p > 0]
-    return float(-np.sum(p * np.log(p)))
+    return _entropy(np.bincount(labels), labels.size)
+
+
+def _mutual_information(cont: np.ndarray, a: np.ndarray, b: np.ndarray, n: int) -> float:
+    """MI of a contingency table with row sums ``a`` and column sums ``b``."""
+    nz = cont > 0
+    nij = cont[nz].astype(np.float64)
+    outer = np.outer(a, b)[nz].astype(np.float64)
+    return float(np.sum(nij / n * (np.log(nij * n) - np.log(outer))))
 
 
 def mutual_information(labels1, labels2) -> float:
@@ -54,57 +70,64 @@ def mutual_information(labels1, labels2) -> float:
     labels1, labels2 = _labels(labels1), _labels(labels2)
     if labels1.size != labels2.size:
         raise ValueError("partitions must cover the same number of items")
-    n = labels1.size
     cont = _contingency(labels1, labels2)
-    a = cont.sum(axis=1)
-    b = cont.sum(axis=0)
-    nz = cont > 0
-    nij = cont[nz].astype(np.float64)
-    outer = np.outer(a, b)[nz].astype(np.float64)
-    return float(np.sum(nij / n * (np.log(nij * n) - np.log(outer))))
+    return _mutual_information(cont, cont.sum(axis=1), cont.sum(axis=0), labels1.size)
 
 
 def expected_mutual_information(row_sums, col_sums, n: int) -> float:
     """Analytic expected MI under the permutation null with fixed marginals.
 
     For each contingency cell the count follows a hypergeometric law; the
-    expectation sums the MI contribution weighted by that law.
+    expectation sums the MI contribution weighted by that law (Vinh, Epps
+    and Bailey, 2010, "Information theoretic measures for clusterings
+    comparison", JMLR 11).  A cell's term depends only on its two
+    marginals, so it is computed once per distinct pair of marginal
+    values.  Log-factorials come from one ``gammaln`` table over
+    ``0..n+1``.  For each distinct row marginal the count ranges of all
+    distinct column marginals are laid end to end, at most ``n`` entries,
+    and scored in one vectorized pass; zero marginals have empty ranges
+    and add nothing.  Each cell is summed by its own ``np.sum``, which sums
+    pairwise, and the cells are added one after another in row-major
+    order, so the result is the same float as a loop over the cells.
     """
     a = np.asarray(row_sums, dtype=np.int64)
     b = np.asarray(col_sums, dtype=np.int64)
     if a.sum() != n or b.sum() != n:
         raise ValueError("marginals must sum to the number of items")
+    if (a < 0).any() or (b < 0).any():
+        raise ValueError("marginals must be non-negative")
+    a_values, a_index = np.unique(a, return_inverse=True)
+    b_values, b_index = np.unique(b, return_inverse=True)
     log_n = np.log(n)
+    lgam = gammaln(np.arange(n + 2))  # lgam[m] = log((m - 1)!)
     # hypergeometric log-probability pieces independent of the cell count
-    gln_a = gammaln(a + 1)
-    gln_na = gammaln(n - a + 1)
-    gln_b = gammaln(b + 1)
-    gln_nb = gammaln(n - b + 1)
-    gln_n = gammaln(n + 1)
-    total = 0.0
-    for i in range(a.size):
-        ai = a[i]
-        for j in range(b.size):
-            bj = b[j]
-            lo = max(1, ai + bj - n)
-            hi = min(ai, bj)
-            if hi < lo:
-                continue
-            nij = np.arange(lo, hi + 1)
-            log_p = (
-                gln_a[i]
-                + gln_b[j]
-                + gln_na[i]
-                + gln_nb[j]
-                - gln_n
-                - gammaln(nij + 1)
-                - gammaln(ai - nij + 1)
-                - gammaln(bj - nij + 1)
-                - gammaln(n - ai - bj + nij + 1)
-            )
-            contrib = nij / n * (np.log(nij) + log_n - np.log(ai) - np.log(bj))
-            total += float(np.sum(np.exp(log_p) * contrib))
-    return total
+    gln_b = lgam[b_values + 1]
+    gln_nb = lgam[n - b_values + 1]
+    gln_n = lgam[n + 1]
+    cell_terms = np.zeros((a_values.size, b_values.size))
+    for row, ai in enumerate(a_values):
+        if ai == 0:
+            continue  # no cell of an empty row has a count range
+        lo = np.maximum(1, ai + b_values - n)
+        length = np.minimum(ai, b_values) - lo + 1  # 0 where b is 0
+        start = np.cumsum(length) - length
+        nij = np.arange(length.sum()) + np.repeat(lo - start, length)
+        bj = np.repeat(b_values, length)
+        head = lgam[ai + 1] + gln_b + lgam[n - ai + 1] + gln_nb - gln_n
+        log_p = (
+            np.repeat(head, length)
+            - lgam[nij + 1]
+            - lgam[ai - nij + 1]
+            - lgam[bj - nij + 1]
+            - lgam[n - ai - bj + nij + 1]
+        )
+        contrib = nij / n * (np.log(nij) + log_n - np.log(ai) - np.log(bj))
+        terms = np.exp(log_p) * contrib
+        for col in np.flatnonzero(length).tolist():
+            cell_terms[row, col] = np.sum(terms[start[col] : start[col] + length[col]])
+    cells = cell_terms[np.ix_(a_index, b_index)].ravel()
+    # cumsum adds the cells in sequence, where np.sum would add them pairwise
+    return float(np.cumsum(np.concatenate(([0.0], cells)))[-1])
 
 
 def _identical_up_to_relabeling(cont: np.ndarray) -> bool:
@@ -135,9 +158,10 @@ def ami(p1, p2) -> float:
         return 1.0
     if _identical_up_to_relabeling(cont):
         return 1.0
-    mi = mutual_information(labels1, labels2)
-    emi = expected_mutual_information(cont.sum(axis=1), cont.sum(axis=0), n)
-    denom = (entropy(labels1) + entropy(labels2)) / 2.0 - emi
+    a, b = cont.sum(axis=1), cont.sum(axis=0)  # the label counts of each side
+    mi = _mutual_information(cont, a, b, n)
+    emi = expected_mutual_information(a, b, n)
+    denom = (_entropy(a, n) + _entropy(b, n)) / 2.0 - emi
     if denom <= 0.0:
         # chance-level agreement is the best the marginals allow
         return 0.0
@@ -162,11 +186,11 @@ class ScoreReport:
 
 
 def score_matrix(truth, inferred) -> np.ndarray:
-    truth = [_labels(p) for p in truth]
-    inferred = [_labels(p) for p in inferred]
+    truth = [_partition(p) for p in truth]
+    inferred = [_partition(p) for p in inferred]
     if not truth or not inferred:
         raise ValueError("partition lists must be non-empty")
-    sizes = {p.size for p in truth} | {p.size for p in inferred}
+    sizes = {p.n for p in truth} | {p.n for p in inferred}
     if len(sizes) != 1:
         raise ValueError(f"all partitions must cover the same items, got sizes {sorted(sizes)}")
     xi = np.empty((len(truth), len(inferred)))

@@ -6,12 +6,17 @@ nodes, and the estimated group-affinity matrix.  Truth files share the
 schema and add the finest-level generating probabilities under
 ``omega_fine``.  The schemas check a membership vector only for being an
 array; ``load_levels`` checks its entries by building a ``Partition``
-(``n`` integer labels ``0..k-1``, each used).  Outputs are written with
-sorted keys so equal inputs and seeds produce byte-identical files.
+(``n`` integer labels ``0..k-1``, each used).  ``validate_document`` gives
+the verdict, path and message of ``jsonschema.validate`` without its
+per-call check of the schema against the metaschema, and checks an array
+of numbers (an ``omega``, ``omega_fine`` or ``xi`` row) in one pass.
+Outputs are written with sorted keys so equal inputs and seeds produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import jsonschema
@@ -129,15 +134,47 @@ def score_to_dict(report) -> dict:
     }
 
 
+# The item schema of the omega, omega_fine and xi rows, and the Python types
+# that ``json.load`` gives a JSON number.
+_NUMBER_ITEMS = {"type": "number"}
+_NUMBER_TYPES = frozenset({int, float})
+
+
+@functools.cache
+def _validator_class(cls):
+    """``cls`` with an ``items`` keyword that accepts an array of JSON
+    numbers in one pass and hands any other array to ``cls``'s own
+    ``items``, which walks it entry by entry."""
+    stock = cls.VALIDATORS["items"]
+
+    def items(validator, item_schema, instance, schema):
+        if not (
+            item_schema == _NUMBER_ITEMS
+            and isinstance(instance, list)
+            and set(map(type, instance)) <= _NUMBER_TYPES
+        ):
+            yield from stock(validator, item_schema, instance, schema)
+
+    return jsonschema.validators.extend(cls, {"items": items})
+
+
 def validate_document(doc, schema) -> None:
-    """Raise ``SchemaError`` on a mismatch; ``load_levels`` checks membership entries."""
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
+    """Raise ``SchemaError`` on a mismatch; ``load_levels`` checks membership entries.
+
+    The verdict, path and message are those of ``jsonschema.validate``.  The
+    schema itself is not checked against its metaschema (the module's
+    schemas are constants, checked by the tests).  An array whose item
+    schema is ``{"type": "number"}`` passes in one pass when every entry
+    is an ``int`` or ``float``; any other array is walked entry by entry,
+    so a mismatch yields the same errors for ``best_match`` to choose from.
+    """
+    cls = _validator_class(jsonschema.validators.validator_for(schema))
+    error = jsonschema.exceptions.best_match(cls(schema).iter_errors(doc))
+    if error is not None:
         raise SchemaError(
-            f"document does not match schema at {exc.json_path}: {exc.message}",
-            json_path=exc.json_path,
-        ) from exc
+            f"document does not match schema at {error.json_path}: {error.message}",
+            json_path=error.json_path,
+        ) from error
 
 
 def load_levels(path, schema=HIERARCHY_SCHEMA) -> tuple[int, list]:

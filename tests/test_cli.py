@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
+import copy
 import csv
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 from hierspect.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from hierspect.errors import SchemaError
 from hierspect.serialize import (
     HIERARCHY_SCHEMA,
     SCORE_SCHEMA,
@@ -206,6 +209,97 @@ class TestEval:
         code = run("eval", "--truth", str(tmp_path / "t.json"), "--pred", str(tmp_path / "p.json"))
         assert code == EXIT_DATA
         assert "invalid JSON" in capsys.readouterr().err
+
+
+def _valid_documents():
+    """A valid document per schema, keyed by the schema's name."""
+    omega = [[0.5, 0.1], [0.1, 0.5]]
+    hierarchy = {
+        "n": 3,
+        "levels": [
+            {"k": 2, "membership": [0, 1, 1], "omega": omega},
+            {"k": 1, "membership": [0, 0, 0], "omega": [[0.3]]},
+        ],
+    }
+    return {
+        "hierarchy": (HIERARCHY_SCHEMA, hierarchy),
+        "truth": (TRUTH_SCHEMA, {**hierarchy, "omega_fine": omega}),
+        "score": (SCORE_SCHEMA, {"xi": [[1.0, 0.5], [0.25, 1]], "precision": 0.75, "recall": 1.0}),
+    }
+
+
+def _with_numpy_floats(value):
+    """``value`` with every float replaced by an ``np.float64``."""
+    if isinstance(value, float):
+        return np.float64(value)
+    if isinstance(value, list):
+        return [_with_numpy_floats(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _with_numpy_floats(item) for key, item in value.items()}
+    return value
+
+
+def _stock_verdict(doc, schema):
+    """(json_path, message) of ``jsonschema.validate``'s error, or None."""
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        return exc.json_path, exc.message
+    return None
+
+
+def _our_verdict(doc, schema):
+    try:
+        validate_document(doc, schema)
+    except SchemaError as exc:
+        return exc.json_path, str(exc)
+    return None
+
+
+class TestValidateDocument:
+    @pytest.mark.parametrize("schema", [HIERARCHY_SCHEMA, TRUTH_SCHEMA, SCORE_SCHEMA],
+                             ids=["hierarchy", "truth", "score"])
+    def test_schema_constants_are_valid_schemas(self, schema):
+        jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    @pytest.mark.parametrize(
+        "name, matrix",
+        [("hierarchy", ("levels", 0, "omega")), ("hierarchy", ("levels", 1, "omega")),
+         ("truth", ("levels", 1, "omega")), ("truth", ("omega_fine",)), ("score", ("xi",))],
+        ids=["levels0-omega", "levels1-omega", "truth-levels1-omega", "omega_fine", "xi"],
+    )
+    @pytest.mark.parametrize(
+        "bad, row_only",
+        [("0.5", False), (True, False), (None, False), ([0.5], False), (0.5, True)],
+        ids=["string", "true", "null", "nested-list", "non-array-row"],
+    )
+    def test_matches_stock_validate(self, name, matrix, bad, row_only):
+        schema, doc = _valid_documents()[name]
+        doc = copy.deepcopy(doc)
+        rows = doc
+        for key in matrix:
+            rows = rows[key]
+        if row_only:
+            rows[-1] = bad
+        else:
+            rows[-1][0] = bad
+        stock = _stock_verdict(doc, schema)
+        assert stock is not None
+        path, message = stock
+        assert _our_verdict(doc, schema) == (
+            path, f"document does not match schema at {path}: {message}"
+        )
+
+    @pytest.mark.parametrize("numpy_floats", [False, True], ids=["json", "np-float64"])
+    @pytest.mark.parametrize("name", ["hierarchy", "truth", "score"])
+    def test_valid_documents_pass(self, name, numpy_floats):
+        # np.float64 is a float subclass, not a type the one-pass check
+        # accepts, so its arrays go to jsonschema's own items keyword
+        schema, doc = _valid_documents()[name]
+        if numpy_floats:
+            doc = _with_numpy_floats(doc)
+        assert _stock_verdict(doc, schema) is None
+        assert _our_verdict(doc, schema) is None
 
 
 class TestCountOptions:

@@ -1,7 +1,12 @@
 """AMI, expected mutual information, and hierarchy scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from hierspect import Partition, ami, score_hierarchy, score_matrix
 from hierspect.evaluation import (
@@ -22,6 +27,61 @@ def mc_expected_mutual_information(labels1, labels2, samples=1000, seed=0):
     for t in range(samples):
         values[t] = mutual_information(labels1, rng.permutation(labels2))
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(samples))
+
+
+def reference_expected_mutual_information(row_sums, col_sums, n):
+    """E[MI] by a loop over the contingency cells, each cell's hypergeometric
+    terms summed by one ``np.sum``: the reference for the vectorized
+    ``expected_mutual_information``."""
+    a = np.asarray(row_sums, dtype=np.int64)
+    b = np.asarray(col_sums, dtype=np.int64)
+    log_n = np.log(n)
+    gln_a = gammaln(a + 1)
+    gln_na = gammaln(n - a + 1)
+    gln_b = gammaln(b + 1)
+    gln_nb = gammaln(n - b + 1)
+    gln_n = gammaln(n + 1)
+    total = 0.0
+    for i in range(a.size):
+        ai = a[i]
+        for j in range(b.size):
+            bj = b[j]
+            lo = max(1, ai + bj - n)
+            hi = min(ai, bj)
+            if hi < lo:
+                continue
+            nij = np.arange(lo, hi + 1)
+            log_p = (
+                gln_a[i]
+                + gln_b[j]
+                + gln_na[i]
+                + gln_nb[j]
+                - gln_n
+                - gammaln(nij + 1)
+                - gammaln(ai - nij + 1)
+                - gammaln(bj - nij + 1)
+                - gammaln(n - ai - bj + nij + 1)
+            )
+            contrib = nij / n * (np.log(nij) + log_n - np.log(ai) - np.log(bj))
+            total += float(np.sum(np.exp(log_p) * contrib))
+    return total
+
+
+@st.composite
+def marginal_pairs(draw):
+    """(row sums, column sums, n) with at most 12 groups a side and n <= 492.
+
+    Row sums are drawn from a small range, so values repeat and zeros
+    occur; column sums cut n at sorted points, so they can be zero or
+    large enough that a cell's two marginals sum past n.
+    """
+    a = draw(st.lists(st.integers(0, 41), min_size=1, max_size=12))
+    n = sum(a)
+    if n == 0:
+        a[0] = n = 1
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=11)))
+    b = np.diff([0, *cuts, n])
+    return a, b.tolist(), n
 
 
 class TestAmi:
@@ -103,9 +163,38 @@ class TestExpectedMutualInformation:
     def test_zero_for_trivial_marginal(self):
         assert expected_mutual_information([5], [2, 3], 5) == pytest.approx(0.0, abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(marginal_pairs())
+    @example(([7], [2, 0, 5], 7))  # one row group, a zero column
+    @example(([30, 1], [25, 6], 31))  # 30 + 25 > 31: cells whose range starts above 1
+    @example(([0, 4, 0, 4], [4, 4], 8))  # zero rows, repeated values
+    @example(([12] * 12, [12] * 12, 144))
+    def test_equals_cell_loop(self, marginals):
+        a, b, n = marginals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # np.log(0) on a zero marginal
+            value = expected_mutual_information(a, b, n)
+        assert value == reference_expected_mutual_information(a, b, n)
+
+    @pytest.mark.parametrize(
+        "col_sums",
+        [np.full(27, 729), 729 + np.arange(-13, 14)],
+        ids=["equal", "27-sizes"],
+    )
+    def test_equals_cell_loop_sym27_shape(self, col_sums):
+        # the planted finest level of the symmetric 3/9/27 benchmark graph,
+        # n = 3^9, against itself and against 27 distinct group sizes
+        row_sums = np.full(27, 729)
+        value = expected_mutual_information(row_sums, col_sums, 19_683)
+        assert value == reference_expected_mutual_information(row_sums, col_sums, 19_683)
+
     def test_marginals_must_sum(self):
         with pytest.raises(ValueError):
             expected_mutual_information([2, 2], [3, 2], 4)
+
+    def test_marginals_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            expected_mutual_information([-1, 5], [4], 4)
 
 
 class TestInformationBasics:
