@@ -45,10 +45,8 @@ from .hierarchy import (
 from .partition_search import best_eep_partition, kmeans, projection_error
 from .spectral import (
     BetheClustering,
-    EigsResult,
     bethe_hessian,
     cluster_bethe_hessian,
-    eigs_symmetric,
 )
 from .synthetic import (
     GroundTruth,
@@ -66,7 +64,6 @@ __all__ = [
     "BetheClustering",
     "DegenerateGraphError",
     "EdgeListError",
-    "EigsResult",
     "Graph",
     "GroundTruth",
     "HierarchyResult",
@@ -88,7 +85,6 @@ __all__ = [
     "bootstrap_perturb_affinity",
     "cluster_bethe_hessian",
     "coarse_affinity_update",
-    "eigs_symmetric",
     "estimate_affinity",
     "find_relevant_minima",
     "fit_msle",

@@ -1,14 +1,15 @@
-"""Symmetric eigensolver contract, the Bethe Hessian operator, and
-finest-partition detection.
+"""The Bethe Hessian operator and finest-partition detection.
 
 The finest level of a hierarchy is found by spectral clustering with the
 Bethe Hessian ``B_r = (r^2 - 1) I + D - r A``, evaluated at plus and minus
 the square root of the average degree.  The number of non-positive
 eigenvalues of the two operators estimates the number of assortative and
-disassortative groups respectively, and their eigenvectors feed a k-means
-step that assigns nodes to groups.  That step is one Lloyd run, started
-from the rows a column-pivoted QR picks (Damle, Minden and Ying, 2019,
-"Simple, direct and efficient multi-way spectral clustering").
+disassortative groups respectively: one by-value LAPACK call per operator
+up to the dense cutoff, seeded ARPACK probes of doubling size above it.
+Their eigenvectors feed a k-means step that assigns nodes to groups.  That
+step is one Lloyd run, started from the rows a column-pivoted QR picks
+(Damle, Minden and Ying, 2019, "Simple, direct and efficient multi-way
+spectral clustering").
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ from .partition_search import kmeans
 from .rng import substream, substream_seed
 
 __all__ = [
-    "EigsResult",
     "BetheClustering",
-    "eigs_symmetric",
     "bethe_hessian",
     "cluster_bethe_hessian",
 ]
@@ -58,18 +57,6 @@ COUNT_PROBE_TOL = 1e-2
 
 
 @dataclass(frozen=True)
-class EigsResult:
-    """Eigenpairs of a symmetric matrix.
-
-    ``eigenvalues`` are sorted ascending; ``eigenvectors`` columns are
-    orthonormal and aligned with the eigenvalues.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class BetheClustering:
     """Finest-level clustering: estimated group count and node assignment.
 
@@ -91,39 +78,30 @@ def _residual_norms(matrix, eigenvalues, eigenvectors) -> np.ndarray:
     return np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
 
 
-def eigs_symmetric(matrix, m: int, seed: int = 0, *, tol: float = 0.0) -> EigsResult:
-    """Compute the ``m`` smallest-algebraic eigenpairs of a symmetric matrix.
+def eigs_symmetric(
+    matrix: sp.csr_matrix, m: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One count probe: the ``m`` smallest-algebraic eigenpairs of ``matrix``.
 
-    Sparse inputs above the dense cutoff use ARPACK with a seeded starting
-    vector, so results are deterministic for a fixed seed.  ``tol`` is
-    ARPACK's relative accuracy (0 means machine precision): each returned
-    value theta has residual ``||M v - theta v|| <= tol * |theta|`` (with
-    ``|theta|`` floored at eps^(2/3)), so for ``tol < 1`` some eigenvalue
-    lies that close to theta and has its sign.  The dense branch ignores
-    ``tol`` and is always exact.
+    ARPACK runs from a seeded start vector, so the pairs are deterministic
+    for a fixed seed, at tolerance ``COUNT_PROBE_TOL``: each returned value
+    theta has residual ``||M v - theta v|| <= COUNT_PROBE_TOL * |theta|``
+    (with ``|theta|`` floored at eps^(2/3)).  Neither this probe nor the
+    dense path of ``_count_nonpositive`` checks ``matrix`` for symmetry: it
+    is a ``bethe_hessian`` of a ``Graph``, whose adjacency every ``Graph``
+    constructor makes symmetric, so some eigenvalue lies that close to
+    theta and has its sign.  Returns the values ascending and the
+    orthonormal vectors as columns aligned with them.
 
     Raises
     ------
     SolverError
-        If the iterative solver fails to converge; carries the residual
-        norms of the eigenpairs available at that point.
+        If ARPACK fails to converge; carries the residual norms of the
+        eigenpairs available at that point.
     """
-    n = matrix.shape[0]
-    if not 1 <= m <= n:
-        raise ValueError(f"m={m} must be between 1 and n={n}")
-    if abs(matrix - matrix.T).max() > 1e-10 * max(1.0, abs(matrix).max()):
-        raise ValueError("matrix is not symmetric")
-
-    dense_input = isinstance(matrix, np.ndarray)
-    if dense_input or n <= _DENSE_CUTOFF or m > n // 2 or m >= n - 1:
-        dense = matrix if dense_input else matrix.toarray()
-        values, vectors = scipy.linalg.eigh(dense)
-        # copy, so the full n-by-n basis is not kept alive by a view
-        return EigsResult(eigenvalues=values[:m], eigenvectors=vectors[:, :m].copy())
-
-    v0 = substream(seed, "eigs-start").standard_normal(n)
+    v0 = substream(seed, "eigs-start").standard_normal(matrix.shape[0])
     try:
-        values, vectors = eigsh(matrix, k=m, which="SA", v0=v0, tol=tol)
+        values, vectors = eigsh(matrix, k=m, which="SA", v0=v0, tol=COUNT_PROBE_TOL)
     except ArpackNoConvergence as exc:
         residuals = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -134,7 +112,7 @@ def eigs_symmetric(matrix, m: int, seed: int = 0, *, tol: float = 0.0) -> EigsRe
             residual_norms=residuals,
         ) from exc
     order = np.argsort(values, kind="stable")
-    return EigsResult(eigenvalues=values[order], eigenvectors=vectors[:, order])
+    return values[order], vectors[:, order]
 
 
 def bethe_hessian(graph: Graph, r: float) -> sp.csr_matrix:
@@ -150,10 +128,7 @@ def _count_nonpositive(
 
     Up to the dense cutoff one LAPACK call per matrix returns exactly the
     eigenpairs with values at or below ``tau`` (``subset_by_value``), and
-    the count is their number, capped at ``COUNT_CAP``.  This path skips
-    ``eigs_symmetric``'s symmetry check: ``bethe_hessian`` builds the
-    matrix from a ``Graph`` adjacency, which every ``Graph`` constructor
-    makes symmetric.
+    the count is their number, capped at ``COUNT_CAP``.
 
     Above it the count and the vectors come from the same probes, with no
     second, tight solve.  The probes request smallest-algebraic eigenpairs
@@ -189,20 +164,20 @@ def _count_nonpositive(
     cap = min(n, COUNT_CAP)
     m = first
     while True:
-        res = eigs_symmetric(matrix, m, seed=seed, tol=COUNT_PROBE_TOL)
-        count = int(np.sum(res.eigenvalues <= tau))
+        values, vectors = eigs_symmetric(matrix, m, seed=seed)
+        count = int(np.sum(values <= tau))
         if count < m or m >= cap:
             break
         m = min(max(8, 2 * m), cap)
-    residuals = _residual_norms(matrix, res.eigenvalues, res.eigenvectors)
-    if np.any(np.abs(res.eigenvalues - tau) <= residuals):
+    residuals = _residual_norms(matrix, values, vectors)
+    if np.any(np.abs(values - tau) <= residuals):
         raise SolverError(
             f"eigenvalue count unproven: a value of the {m}-value probe "
             f"lies within its residual of the tolerance {tau:.3g}",
             residual_norms=residuals,
         )
     # copy, so the columns past the count are freed
-    return count, res.eigenvectors[:, :count].copy()
+    return count, vectors[:, :count].copy()
 
 
 def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
@@ -235,25 +210,21 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     k_plus, k_minus = counts
     # the two counts can overlap below average degree 1; never exceed n
     k_hat = min(k_plus + k_minus, graph.n)
-    if k_hat == 0:
-        return BetheClustering(
-            k_hat=1,
-            partition=Partition.single_group(graph.n),
-            r=r,
-            k_plus=0,
-            k_minus=0,
-            fallback=True,
-        )
-    q = np.hstack(blocks)[:, :k_hat]
-    if k_hat == 1:
+    if k_hat <= 1:
         partition = Partition.single_group(graph.n)
     else:
+        q = np.hstack(blocks)[:, :k_hat]
         # the pivoted QR picks, one at a time, the row of q farthest from
         # the span of the rows picked before: about one row per group, so
         # one Lloyd run from them is enough
         pivots = scipy.linalg.qr(q.T, mode="r", pivoting=True)[1][:k_hat]
         partition = kmeans(q, q[pivots])
     return BetheClustering(
-        k_hat=k_hat, partition=partition, r=r, k_plus=k_plus, k_minus=k_minus
+        k_hat=max(k_hat, 1),
+        partition=partition,
+        r=r,
+        k_plus=k_plus,
+        k_minus=k_minus,
+        fallback=k_hat == 0,
     )
 

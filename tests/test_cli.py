@@ -7,7 +7,10 @@ import json
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import hierspect.spectral
+from hierspect import generate_planted_partition, solve_planted_params, write_edge_list
 from hierspect.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from hierspect.errors import SchemaError
 from hierspect.serialize import (
@@ -101,6 +104,29 @@ class TestDetect:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("detect", "--edges", str(tmp_path / "absent.tsv")) == EXIT_DATA
+
+    def test_zero_weight_edges_are_numerical_error(self, tmp_path, capsys):
+        edges = tmp_path / "zero.tsv"
+        edges.write_text("0 1 0\n1 2 0\n")
+        assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
+        assert "error: graph has no edges" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
+        alpha, beta = solve_planted_params(4, 20.0, 6.0)
+        graph, _ = generate_planted_partition(1500, 4, alpha, beta, seed=8)
+        assert graph.n > hierspect.spectral._DENSE_CUTOFF
+        edges = tmp_path / "planted.tsv"
+        write_edge_list(graph, edges)
+
+        def no_convergence(matrix, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no luck", np.zeros(0), np.zeros((matrix.shape[0], 0))
+            )
+
+        monkeypatch.setattr(hierspect.spectral, "eigsh", no_convergence)
+        assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "error: eigensolver did not converge (8 pairs requested, 0 available)" in err
 
     def test_isolated_top_ids_keep_node_count(self, tmp_path):
         edges, truth, hier = (tmp_path / name for name in ("e.tsv", "t.json", "h.json"))

@@ -1,4 +1,4 @@
-"""Eigensolver contract, Bethe Hessian assembly, group-count estimation."""
+"""Count probe, Bethe Hessian assembly, group-count estimation."""
 
 import numpy as np
 import pytest
@@ -14,84 +14,62 @@ from hierspect import (
     ami,
     bethe_hessian,
     cluster_bethe_hessian,
-    eigs_symmetric,
 )
 from hierspect.errors import DegenerateGraphError, SolverError
+from hierspect.spectral import eigs_symmetric
 
 from conftest import random_graph
 
 
 class TestEigsSymmetric:
-    def test_identity_matrix(self):
-        res = eigs_symmetric(np.eye(3), 3)
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 1.0, 1.0])
+    """The count probe: seeded ARPACK at the loose ``COUNT_PROBE_TOL``."""
 
-    def test_laplacian_k3(self, k3):
-        res = eigs_symmetric(np.diag(k3.degrees) - k3.adjacency.toarray(), 3)
-        np.testing.assert_allclose(res.eigenvalues, [0.0, 3.0, 3.0], atol=1e-12)
-
-    def test_diagonal_smallest(self):
-        res = eigs_symmetric(np.diag([3.0, 1.0, 2.0]), 2)
-        np.testing.assert_allclose(res.eigenvalues, [1.0, 2.0])
-
-    def test_sparse_path_matches_dense(self):
-        rng = np.random.default_rng(0)
+    @pytest.fixture(scope="class")
+    def matrix(self):
         n = 1500
         mat = sp.random(n, n, density=0.005, random_state=1)
-        mat = (mat + mat.T).tocsr()
-        res = eigs_symmetric(mat, 4, seed=7)
-        dense = np.linalg.eigvalsh(mat.toarray())[:4]
-        np.testing.assert_allclose(res.eigenvalues, dense, atol=1e-8)
+        return (mat + mat.T).tocsr()
 
-    def test_sparse_loose_tolerance_keeps_signs(self, monkeypatch):
-        n = 1500
-        mat = sp.random(n, n, density=0.005, random_state=1)
-        mat = (mat + mat.T).tocsr()
-        dense = np.linalg.eigvalsh(mat.toarray())
-        tols = []
-
-        def eigsh_spy(*args, **kwargs):
-            tols.append(kwargs["tol"])
-            return scipy.sparse.linalg.eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
-        loose = eigs_symmetric(mat, 4, seed=7, tol=1e-2)
-        assert tols == [1e-2]
-        for theta in loose.eigenvalues:
+    def test_values_near_dense_spectrum_with_its_signs(self, matrix):
+        dense = np.linalg.eigvalsh(matrix.toarray())
+        values, _ = eigs_symmetric(matrix, 4, seed=7)
+        assert np.all(np.diff(values) >= 0)
+        for theta in values:
             nearest = dense[np.argmin(np.abs(dense - theta))]
-            assert abs(nearest - theta) <= 1e-2 * abs(theta)
+            assert abs(nearest - theta) <= spectral.COUNT_PROBE_TOL * abs(theta)
             assert np.sign(nearest) == np.sign(theta)
-        # the default tolerance is still machine precision
-        exact = eigs_symmetric(mat, 4, seed=7)
-        np.testing.assert_allclose(exact.eigenvalues, dense[:4], atol=1e-8)
 
-    def test_residuals_and_orthonormality(self):
-        rng = np.random.default_rng(1)
-        mat = rng.standard_normal((50, 50))
-        mat = (mat + mat.T) / 2
-        res = eigs_symmetric(mat, 5)
-        residual = mat @ res.eigenvectors - res.eigenvectors * res.eigenvalues
-        assert np.linalg.norm(residual, axis=0).max() <= 1e-8 * np.abs(mat).max() * 50
-        gram = res.eigenvectors.T @ res.eigenvectors
-        np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
+    def test_orthonormal_vectors(self, matrix):
+        _, vectors = eigs_symmetric(matrix, 5, seed=7)
+        assert vectors.shape == (matrix.shape[0], 5)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(5), atol=1e-8)
 
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(2)
-        n = 1500
-        mat = sp.random(n, n, density=0.005, random_state=3)
-        mat = (mat + mat.T).tocsr()
-        r1 = eigs_symmetric(mat, 3, seed=11)
-        r2 = eigs_symmetric(mat, 3, seed=11)
-        np.testing.assert_array_equal(r1.eigenvalues, r2.eigenvalues)
-        np.testing.assert_array_equal(r1.eigenvectors, r2.eigenvectors)
+    def test_deterministic_given_seed(self, matrix):
+        v1, x1 = eigs_symmetric(matrix, 3, seed=11)
+        v2, x2 = eigs_symmetric(matrix, 3, seed=11)
+        np.testing.assert_array_equal(v1, v2)
+        np.testing.assert_array_equal(x1, x2)
 
-    def test_m_out_of_range(self):
-        with pytest.raises(ValueError):
-            eigs_symmetric(np.eye(3), 4)
+    @pytest.mark.parametrize("available", [2, 0])
+    def test_no_convergence_is_solver_error(self, monkeypatch, available):
+        matrix = sp.diags(np.arange(1.0, 11.0)).tocsr()
+        # the partial pairs ARPACK hands back: the first is off by 0.5
+        values = np.array([1.5, 2.0])[:available]
+        vectors = np.eye(10)[:, :available]
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigs_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no luck", values, vectors)
+
+        monkeypatch.setattr(spectral, "eigsh", no_convergence)
+        with pytest.raises(SolverError, match="did not converge") as info:
+            eigs_symmetric(matrix, 3, seed=0)
+        assert f"3 pairs requested, {available} available" in str(info.value)
+        residuals = info.value.residual_norms
+        if available:
+            assert residuals.shape == (2,)
+            np.testing.assert_allclose(residuals, [0.5, 0.0], atol=1e-12)
+        else:
+            assert residuals is None
 
 
 class TestBetheHessian:
@@ -221,9 +199,9 @@ class TestDenseCount:
         calls = {"eigs": [], "eigh": []}
         eigh = scipy.linalg.eigh
 
-        def eigs_spy(matrix, m, seed=0, **kwargs):
+        def eigs_spy(matrix, m, seed):
             calls["eigs"].append(m)
-            return eigs_symmetric(matrix, m, seed=seed, **kwargs)
+            return eigs_symmetric(matrix, m, seed)
 
         def eigh_spy(a, *args, **kwargs):
             calls["eigh"].append(kwargs.get("subset_by_value"))
@@ -303,9 +281,9 @@ class TestSparseCount:
     def spy(self, monkeypatch):
         calls = []
 
-        def eigs_spy(matrix, m, seed=0, **kwargs):
-            calls.append((m, kwargs.get("tol", 0.0)))
-            return eigs_symmetric(matrix, m, seed=seed, **kwargs)
+        def eigs_spy(matrix, m, seed):
+            calls.append(m)
+            return eigs_symmetric(matrix, m, seed)
 
         monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
         return calls
@@ -332,43 +310,47 @@ class TestSparseCount:
         )
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_probes_are_all_loose(self, operators, spy, sign):
+    def test_probes_are_all_loose(self, operators, monkeypatch, sign):
         op, _ = operators[sign]
+        tols = []
+
+        def eigsh_spy(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return scipy.sparse.linalg.eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
         spectral._count_nonpositive(op, seed=5)
-        # no accurate solve: every call is a probe
-        assert spy and all(tol == spectral.COUNT_PROBE_TOL for _, tol in spy)
+        # no accurate solve: every ARPACK call is a probe
+        assert tols and all(tol == spectral.COUNT_PROBE_TOL for tol in tols)
 
     def test_probe_sequence(self, operators, spy):
-        tol = spectral.COUNT_PROBE_TOL
         # a count of 0 is settled by one one-value probe
         assert spectral._count_nonpositive(operators[-1.0][0], seed=5)[0] == 0
-        assert spy == [(1, tol)]
+        assert spy == [1]
         # a count of 4 goes on from one value to eight and stops there
         spy.clear()
         assert spectral._count_nonpositive(operators[1.0][0], seed=5)[0] == 4
-        assert spy == [(1, tol), (8, tol)]
+        assert spy == [1, 8]
 
     def test_plus_r_probes_start_at_eight(self, graph, spy):
         res = cluster_bethe_hessian(graph, seed=5)
         assert (res.k_plus, res.k_minus) == (4, 0)
         # +r is counted first, from an eight-value probe; -r from one value
-        tol = spectral.COUNT_PROBE_TOL
-        assert spy == [(8, tol), (1, tol)]
+        assert spy == [8, 1]
 
     def test_unproven_count_raises(self, operators, monkeypatch):
         op, dense_count = operators[1.0]
         tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
         real = spectral.eigs_symmetric
 
-        def near_tau(matrix, m, seed=0, **kwargs):
-            res = real(matrix, m, seed=seed, **kwargs)
+        def near_tau(matrix, m, seed):
+            values, vectors = real(matrix, m, seed)
             if m > dense_count:
                 # move the bulk value that stops the count almost onto
                 # tau: still above it, but by far less than its residual
-                values = res.eigenvalues.copy()
+                values = values.copy()
                 values[dense_count] = tau + 1e-3 * (values[dense_count] - tau)
-                res = spectral.EigsResult(values, res.eigenvectors)
-            return res
+            return values, vectors
 
         monkeypatch.setattr(spectral, "eigs_symmetric", near_tau)
         with pytest.raises(SolverError, match="count unproven") as info:
