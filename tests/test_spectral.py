@@ -30,18 +30,34 @@ class TestEigsSymmetric:
         mat = sp.random(n, n, density=0.005, random_state=1)
         return (mat + mat.T).tocsr()
 
-    def test_values_near_dense_spectrum_with_its_signs(self, matrix):
-        dense = np.linalg.eigvalsh(matrix.toarray())
+    def test_sparse_path_matches_dense(self, matrix):
+        dense = np.linalg.eigvalsh(matrix.toarray())[:4]
         values, _ = eigs_symmetric(matrix, 4, seed=7)
-        assert np.all(np.diff(values) >= 0)
+        # the four smallest, ascending, each within the probe tolerance
+        np.testing.assert_allclose(values, dense, rtol=spectral.COUNT_PROBE_TOL)
+
+    def test_sparse_loose_tolerance_keeps_signs(self, matrix, monkeypatch):
+        dense = np.linalg.eigvalsh(matrix.toarray())
+        tols = []
+
+        def eigsh_spy(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return scipy.sparse.linalg.eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
+        values, _ = eigs_symmetric(matrix, 4, seed=7)
+        assert tols == [spectral.COUNT_PROBE_TOL]
         for theta in values:
             nearest = dense[np.argmin(np.abs(dense - theta))]
             assert abs(nearest - theta) <= spectral.COUNT_PROBE_TOL * abs(theta)
             assert np.sign(nearest) == np.sign(theta)
 
-    def test_orthonormal_vectors(self, matrix):
-        _, vectors = eigs_symmetric(matrix, 5, seed=7)
+    def test_residuals_and_orthonormality(self, matrix):
+        values, vectors = eigs_symmetric(matrix, 5, seed=7)
         assert vectors.shape == (matrix.shape[0], 5)
+        # ARPACK's stopping rule: each Ritz residual within tol * |theta|
+        residual = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
+        assert np.all(residual <= spectral.COUNT_PROBE_TOL * np.abs(values))
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(5), atol=1e-8)
 
     def test_deterministic_given_seed(self, matrix):
