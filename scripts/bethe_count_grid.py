@@ -25,8 +25,11 @@ threshold; where an assignment changes, the objective and the AMI show
 whether its quality moved.  A change to scoring alone should leave every
 field but ``eval_sha256`` as it was, and that one too when its arithmetic
 is the same.  A change that moves only the last bits of the
-mean errors and their fits changes ``detect_sha256`` and keeps
-``diagnostics_sha256_12``.
+mean errors changes ``detect_sha256`` and keeps most rows'
+``diagnostics_sha256_12``, but not every row's: the golden-section fit
+stops once its bracket is at most ``SIGMA_TOL``, so a last-bit move of
+the errors can move a fitted sigma by up to ``SIGMA_TOL`` (beyond 12
+digits for sigma near 1), and an MSLE near zero can move at any digit.
 
 The grid (36 graphs; the last two groups are at or below the dense
 cutoff, so on the LAPACK path, and the others on the ARPACK path):
@@ -155,7 +158,8 @@ def rounded(value):
 
 def diagnostics_sha256_12(result) -> str:
     """sha256 of the detection's diagnostics, every float to 12 significant
-    digits, so rounding in the last bits does not move it."""
+    digits, so rounding in the last bits of most floats does not move it;
+    a fitted sigma can still move by up to ``SIGMA_TOL``."""
     text = json.dumps(rounded(result.diagnostics), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -48,9 +48,12 @@ SIGMA_TOL = 1e-8
 # fresh sample; a degenerate level would not.
 BOOTSTRAP_SCALE = float(np.sqrt(2.0))
 
-# Perturbations decomposed and scored together: a block's (b, k, k) stack
-# holds about 2**16 entries (512 KiB of float64), all z draws up to k = 25.
+# Perturbations decomposed together: a block's (b, k, k) stacks for ``eigh``
+# hold about 2**16 entries (512 KiB of float64), all z draws up to k = 25.
 # One stack of all z draws was slower at k = 64 and raised peak memory.
+# The scores come from a (k - 2, k, k) sum of per-vector Gram matrices
+# kept across blocks, and one buffer of that size for each block's part:
+# about k**3 floats each, 2 MB at k = 64 and 133 MB at COUNT_CAP = 256.
 BLOCK_ENTRIES = 2**16
 
 
@@ -170,10 +173,12 @@ class LevelCandidates:
 
     ``partitions[r - 1]`` partitions the ``k`` current groups into ``r``
     groups; ``mean_errors[r - 1]`` is the mean perturbed projection error
-    for that size, summed block by block over the perturbations.  The
-    single-group candidate projects exactly, so the first error is zero
+    for that size.  The single-group candidate projects exactly, so the
+    first error, summed block by block over the perturbations, is zero
     only up to rounding (2.2e-25 on a flat 64-group graph); the identity
-    candidate's last error is exactly 0.0.
+    candidate's last error is exactly 0.0.  The errors in between are read
+    from Gram sums of the perturbed eigenvectors, which leave out the
+    constant vector's rounding-level share.
     """
 
     partitions: list
@@ -202,9 +207,14 @@ def identify_partitions_and_errors(
     The perturbations are drawn in blocks of ``max(1, BLOCK_ENTRIES // k**2)``,
     draw ``zeta`` from its own ``("sample", zeta)`` substream, so each
     perturbed matrix is the one ``bootstrap_perturb_affinity`` gives for that
-    seed.  A block is decomposed by one ``structural_eigenvectors`` call, and
-    each candidate is scored by one ``projection_error`` call on the
-    ``(k, r * b)`` block of the first ``r`` vectors of all ``b`` draws.
+    seed.  A block is decomposed by one ``structural_eigenvectors`` call.
+    Its constant vectors are scored against the single group by one
+    ``projection_error`` call, and each other vector ``c`` adds its outer
+    products over the block's draws to its Gram sum ``G_c``, all ``c`` in
+    one batched matmul.  With ``Q_r`` the group projector of candidate
+    ``r``, the summed error ``||(I - Q_r) V_r||^2`` over all draws is then
+    ``<G_1 + ... + G_{r-1}, I - Q_r>``, one ``k x k`` inner product per
+    candidate after the last block.
     """
     if z < 1:
         raise ValueError("number of perturbation samples must be >= 1")
@@ -221,18 +231,33 @@ def identify_partitions_and_errors(
         partitions.append(best_eep_partition(vectors[:, :r], r))
     partitions.append(Partition.identity(k))
     errors = np.zeros(k)
+    # grams[c - 1] sums v v^T over every draw of vector c, for c = 1..k-2.
+    # Vector 0 is the constant, which every candidate keeps exactly: it is
+    # scored against the single group alone, as the other candidates' share
+    # of it (about 1e-31) would come with rounding of order z * 1e-16.
+    grams = np.zeros((k - 2, k, k))
+    summand = np.empty_like(grams)
     block = max(1, BLOCK_ENTRIES // k**2)
     for start in range(0, z, block):
         zetas = range(start, min(start + block, z))
         seeds = [substream_seed(seed, "sample", zeta) for zeta in zetas]
         _, pert_vectors = structural_eigenvectors(_bootstrap_draws(omega, seeds))
-        # (vector, draw, row) slabs: the first r vectors of every draw,
-        # read as the column-major (k, r * b) block of their columns
+        # (vector, draw, row) slabs: vector c of every draw is one (b, k) slab
         slabs = pert_vectors.transpose(2, 0, 1)
-        for r in range(1, k + 1):
-            errors[r - 1] += projection_error(
-                partitions[r - 1], slabs[:r].reshape(r * len(seeds), k).T
-            )
+        errors[0] += projection_error(partitions[0], slabs[0].T)
+        np.matmul(slabs[1 : k - 1].transpose(0, 2, 1), slabs[1 : k - 1], out=summand)
+        grams += summand
+    # the summed ||(I - Q_r) V_r||^2 is <G_1 + ... + G_{r-1}, I - Q_r>, with
+    # Q_r the group projector of candidate r
+    running = np.zeros((k, k))
+    for r in range(2, k):
+        running += grams[r - 2]
+        part = partitions[r - 1]
+        same = np.equal.outer(part.assignment, part.assignment)
+        residual = np.eye(k) - same / part.group_sizes[part.assignment]
+        # a sum of squares: below zero only by rounding, where the true
+        # error is itself below rounding (huge groups barely perturbed)
+        errors[r - 1] = max(np.vdot(running, residual), 0.0)
     errors /= z
     return LevelCandidates(partitions=partitions, mean_errors=errors)
 

@@ -1,7 +1,11 @@
 """Expected projection errors, perturbations, MSLE selection, hierarchy assembly."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hierspect.hierarchy as hierarchy
 from hierspect import (
@@ -359,8 +363,11 @@ class TestIdentifyPartitionsAndErrors:
                 errors[r - 1] += projection_error(partitions[r - 1], vectors[:, :r])
         return np.array(matrices), errors / z
 
-    @pytest.mark.parametrize("z", [1, 17, 100])
-    @pytest.mark.parametrize("k", [3, 8, 27, 64])
+    @pytest.mark.parametrize(
+        "k, z",
+        # k = 200 decomposes one draw per block
+        [*itertools.product([3, 8, 27, 64], [1, 17, 100]), (200, 2)],
+    )
     def test_blocked_scoring_matches_reference_loop(self, k, z, monkeypatch):
         rng = np.random.default_rng(100 * k + z)
         values = rng.random((k, k))
@@ -390,6 +397,46 @@ class TestIdentifyPartitionsAndErrors:
             cands.mean_errors, errors, rtol=1e-12, atol=1e-12 * errors.max()
         )
         assert cands.mean_errors[-1] == 0.0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(min_value=3, max_value=40),
+        z=st.integers(min_value=1, max_value=20),
+        data_seed=st.integers(min_value=0, max_value=2**32 - 1),
+        equivalent=st.booleans(),
+        max_size=st.sampled_from([500, 10**9]),
+    )
+    @example(k=17, z=15, data_seed=141, equivalent=True, max_size=10**9)
+    def test_scores_nonnegative_with_exact_endpoints(
+        self, k, z, data_seed, equivalent, max_size
+    ):
+        rng = np.random.default_rng(data_seed)
+        values = rng.random((k, k))
+        if equivalent:
+            # copies of three structurally equivalent groups: the three-group
+            # candidate's error is only as large as the perturbation, which
+            # huge groups make smaller than rounding
+            h = np.eye(3)[np.arange(k) % 3]
+            values = h @ values[:3, :3] @ h.T
+        omega = AffinityMatrix(
+            values=(values + values.T) / 2,
+            group_sizes=rng.integers(1, max_size, size=k, endpoint=True),
+        )
+        cands = identify_partitions_and_errors(omega, z=z, seed=data_seed)
+        assert np.all(cands.mean_errors >= 0.0)
+        assert cands.mean_errors[-1] == 0.0
+        # the single-group error: the constant vector of each block's draws,
+        # scored by one projection_error call per block
+        single = 0.0
+        block = max(1, hierarchy.BLOCK_ENTRIES // k**2)
+        for start in range(0, z, block):
+            seeds = [
+                substream_seed(data_seed, "sample", zeta)
+                for zeta in range(start, min(start + block, z))
+            ]
+            _, vectors = structural_eigenvectors(hierarchy._bootstrap_draws(omega, seeds))
+            single += projection_error(cands.partitions[0], vectors[:, :, 0].T)
+        assert cands.mean_errors[0] == single / z
 
     def test_trivial_for_small_k(self):
         omega = AffinityMatrix(values=np.eye(2) * 0.5, group_sizes=np.array([4, 4]))
