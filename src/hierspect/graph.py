@@ -465,9 +465,11 @@ def _line_error(line_no: int, message: str) -> EdgeListError:
 
 def _scan_edges(raw: bytes, limit: int):
     """``(u, v, w)`` arrays of an ASCII file in which every line is blank, a
-    comment or ``u v [w]`` with ids below ``limit`` and a finite
-    non-negative weight, exactly as ``_read_lines`` reads it; None for any
-    other file.  ``w`` is None when no line has a weight."""
+    comment or ``u v [w]`` with plain decimal ids (the bytes ``0-9`` only)
+    below ``limit`` and a finite non-negative weight, exactly as
+    ``_read_lines`` reads it; None for any other file, so that ids such as
+    ``+3`` or ``1_0``, which Python's ``int`` accepts, are read line by line.
+    ``w`` is None when no line has a weight."""
     if not raw.isascii() or b"\0" in raw:
         return None
     data = np.frombuffer(raw, dtype=np.uint8)
@@ -495,16 +497,16 @@ def _scan_edges(raw: bytes, limit: int):
     if not line_start.size or width.min() < 2 or width.max() > 3:
         return None
     u, v = (
-        _convert(data, starts[line_start + col], ends[line_start + col], _ID_WIDTH, np.int64)
+        _decimal_ids(data, starts[line_start + col], ends[line_start + col])
         for col in (0, 1)
     )
-    if u is None or v is None or min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= limit:
+    if u is None or v is None or max(u.max(), v.max()) >= limit:
         return None
     weighted = width == 3
     if not weighted.any():
         return u, v, None
     token = line_start[weighted] + 2
-    given = _convert(data, starts[token], ends[token], _WEIGHT_WIDTH, np.float64)
+    given = _convert_weights(data, starts[token], ends[token])
     if given is None or not np.isfinite(given).all() or given.min() < 0:
         return None
     w = np.ones(line_start.size)
@@ -512,34 +514,103 @@ def _scan_edges(raw: bytes, limit: int):
     return u, v, w
 
 
-def _convert(data, starts, ends, width, dtype):
-    """The tokens ``data[starts:ends]`` converted by numpy's cast from
-    bytes, which applies Python's ``int`` or ``float`` to each; None if a
-    token is longer than ``width`` bytes or does not convert."""
+def _decimal_ids(data, starts, ends):
+    """The tokens ``data[starts:ends]`` read as decimal integers by
+    place-value accumulation over their digit bytes, from the most
+    significant; None if a token is longer than ``_ID_WIDTH`` bytes or
+    holds a byte other than ``0-9``."""
     length = ends - starts
     size = int(length.max())
-    if size > width:
+    if size > _ID_WIDTH:
+        return None
+    ids = np.zeros(starts.size, dtype=np.int64)
+    # ``back`` counts from each token's end, so the tokens stay right-aligned
+    # and a token shorter than ``back`` adds a leading zero
+    for back in range(size, 0, -1):
+        short = length < back
+        digit = data[np.where(short, starts, ends - back)] - np.uint8(ord("0"))
+        digit[short] = 0
+        if digit.max() > 9:  # any other byte wraps past 9 in uint8
+            return None
+        ids *= 10
+        ids += digit
+    return ids
+
+
+def _convert_weights(data, starts, ends):
+    """The tokens ``data[starts:ends]`` converted by numpy's cast from bytes
+    to float, which applies Python's ``float`` to each; None if a token is
+    longer than ``_WEIGHT_WIDTH`` bytes or does not convert."""
+    length = ends - starts
+    size = int(length.max())
+    if size > _WEIGHT_WIDTH:
         return None
     chars = np.zeros((starts.size, size), dtype=np.uint8)
     for j in range(size):
         inside = length > j
         chars[inside, j] = data[starts[inside] + j]
     try:
-        return chars.view(f"S{size}").ravel().astype(dtype)
+        return chars.view(f"S{size}").ravel().astype(np.float64)
     except ValueError:
         return None
 
 
+# Stored entries per chunk of ``write_edge_list``, each giving at most one
+# line: its arrays are sized by the chunk, not by the graph.
+_WRITE_CHUNK = 2**16
+
+
 def write_edge_list(graph: Graph, path) -> None:
-    """Write the upper triangle as ``u v w`` lines (round-trips self-loops)."""
-    coo = sp.triu(graph.adjacency, k=0).tocoo()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={graph.n}\n")
-        for u, v, w in zip(coo.row, coo.col, coo.data):
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                w = w / 2.0  # stored diagonal is twice the loop weight
-            if w == 1.0:
-                fh.write(f"{u} {v}\n")
-            else:
-                fh.write(f"{u} {v} {w!r}\n")
+    """Write the graph as a text edge list that ``read_edge_list`` reads back.
+
+    The first line is ``# n=<N>``.  Then each stored entry ``(u, v, w)`` of
+    the upper triangle (``v >= u``) of the CSR adjacency gives one line, in
+    storage order: ``u v`` when its weight is 1 and ``u v <repr(w)>``
+    otherwise, where a self-loop's weight is half its stored diagonal entry
+    (the graph stores a loop twice).  Every line ends in a newline.
+
+    The stored entries are taken ``_WRITE_CHUNK`` at a time.  A chunk's ids
+    become rows of ASCII digits in one byte matrix, and only the lines whose
+    weight is not 1 format their weight one by one.
+    """
+    adjacency = graph.adjacency
+    indptr, indices = adjacency.indptr, adjacency.indices
+    with open(path, "wb") as fh:
+        fh.write(f"# n={graph.n}\n".encode())
+        for start in range(0, indices.size, _WRITE_CHUNK):
+            stop = min(start + _WRITE_CHUNK, indices.size)
+            rows = np.searchsorted(indptr, np.arange(start, stop), side="right") - 1
+            cols = indices[start:stop]
+            upper = cols >= rows
+            fh.write(_edge_lines(rows[upper], cols[upper], adjacency.data[start:stop][upper]))
+
+
+def _edge_lines(u, v, w) -> bytes:
+    """The edge-list lines of the upper-triangle entries ``(u, v, w)``."""
+    w = np.asarray(w, dtype=np.float64)
+    w = np.where(u == v, w / 2.0, w)  # stored diagonal is twice the loop weight
+    odd = np.flatnonzero(w != 1.0)
+    # one row per line: u's digits, a space, v's digits, the weight and a
+    # newline, padded with zero bytes that are dropped on output
+    parts = [_digit_rows(u), np.full((u.size, 1), ord(" "), np.uint8), _digit_rows(v)]
+    if odd.size:
+        weights = np.array([f" {x!r}".encode() for x in w[odd].tolist()])
+        suffix = np.zeros((u.size, weights.itemsize), dtype=np.uint8)
+        suffix[odd] = weights.view(np.uint8).reshape(odd.size, -1)
+        parts.append(suffix)
+    parts.append(np.full((u.size, 1), ord("\n"), np.uint8))
+    lines = np.hstack(parts)
+    return lines[lines != 0].tobytes()
+
+
+def _digit_rows(ids) -> np.ndarray:
+    """ASCII decimal digits of the non-negative ``ids``, one right-aligned row
+    each, padded on the left with zero bytes."""
+    rest = ids.astype(np.int64)
+    size = len(str(int(rest.max()))) if rest.size else 1
+    rows = np.zeros((rest.size, size), dtype=np.uint8)
+    rows[:, -1] = rest % 10 + ord("0")
+    for col in range(size - 2, -1, -1):
+        rest //= 10
+        rows[:, col] = np.where(rest > 0, rest % 10 + ord("0"), 0)
+    return rows

@@ -55,6 +55,10 @@ BOOTSTRAP_SCALE = float(np.sqrt(2.0))
 # kept across blocks, and one buffer of that size for each block's part:
 # about k**3 floats each, 2 MB at k = 64 and 133 MB at COUNT_CAP = 256.
 BLOCK_ENTRIES = 2**16
+# From k = 182 a block holds one draw; the Gram sums then take the draws of
+# this many blocks in one matmul, rather than rewriting the (k - 2, k, k)
+# accumulator once per draw.
+GATHER_DRAWS = 16
 
 
 def null_curve(n: int, kappas=()) -> np.ndarray:
@@ -211,8 +215,10 @@ def identify_partitions_and_errors(
     Its constant vectors are scored against the single group by one
     ``projection_error`` call, and each other vector ``c`` adds its outer
     products over the block's draws to its Gram sum ``G_c``, all ``c`` in
-    one batched matmul.  With ``Q_r`` the group projector of candidate
-    ``r``, the summed error ``||(I - Q_r) V_r||^2`` over all draws is then
+    one batched matmul; from ``k = 182``, where a block holds one draw, the
+    matmul takes the draws of ``GATHER_DRAWS`` blocks at a time.  With
+    ``Q_r`` the group projector of candidate ``r``, the summed error
+    ``||(I - Q_r) V_r||^2`` over all draws is then
     ``<G_1 + ... + G_{r-1}, I - Q_r>``, one ``k x k`` inner product per
     candidate after the last block.
     """
@@ -238,6 +244,8 @@ def identify_partitions_and_errors(
     grams = np.zeros((k - 2, k, k))
     summand = np.empty_like(grams)
     block = max(1, BLOCK_ENTRIES // k**2)
+    gathered = np.empty((k - 2, GATHER_DRAWS if block == 1 else 0, k))
+    filled = 0
     for start in range(0, z, block):
         zetas = range(start, min(start + block, z))
         seeds = [substream_seed(seed, "sample", zeta) for zeta in zetas]
@@ -245,7 +253,15 @@ def identify_partitions_and_errors(
         # (vector, draw, row) slabs: vector c of every draw is one (b, k) slab
         slabs = pert_vectors.transpose(2, 0, 1)
         errors[0] += projection_error(partitions[0], slabs[0].T)
-        np.matmul(slabs[1 : k - 1].transpose(0, 2, 1), slabs[1 : k - 1], out=summand)
+        if block > 1:
+            batch = slabs[1 : k - 1]
+        else:
+            gathered[:, filled] = slabs[1 : k - 1, 0]
+            filled += 1
+            if filled < GATHER_DRAWS and start + 1 < z:
+                continue
+            batch, filled = gathered[:, :filled], 0
+        np.matmul(batch.transpose(0, 2, 1), batch, out=summand)
         grams += summand
     # the summed ||(I - Q_r) V_r||^2 is <G_1 + ... + G_{r-1}, I - Q_r>, with
     # Q_r the group projector of candidate r

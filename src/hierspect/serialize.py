@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 
-import jsonschema
 import numpy as np
 
 from .errors import SchemaError
@@ -145,6 +144,8 @@ def _validator_class(cls):
     """``cls`` with an ``items`` keyword that accepts an array of JSON
     numbers in one pass and hands any other array to ``cls``'s own
     ``items``, which walks it entry by entry."""
+    import jsonschema
+
     stock = cls.VALIDATORS["items"]
 
     def items(validator, item_schema, instance, schema):
@@ -168,6 +169,9 @@ def validate_document(doc, schema) -> None:
     is an ``int`` or ``float``; any other array is walked entry by entry,
     so a mismatch yields the same errors for ``best_match`` to choose from.
     """
+    # imported on first use: it adds about 60 ms to every start of the CLI
+    import jsonschema
+
     cls = _validator_class(jsonschema.validators.validator_for(schema))
     error = jsonschema.exceptions.best_match(cls(schema).iter_errors(doc))
     if error is not None:

@@ -1,9 +1,14 @@
 """Graph construction, Laplacians, aggregation, quotients, equitability."""
 
+import tempfile
 import time
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -332,6 +337,103 @@ def random_edge_file(rng):
     return text.encode()
 
 
+def reference_write_edge_list(graph, path):
+    """The writer as a loop over the upper triangle's entries, one formatted
+    line each: the definition of ``write_edge_list``'s bytes."""
+    coo = sp.triu(graph.adjacency, k=0).tocoo()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# n={graph.n}\n")
+        for u, v, w in zip(coo.row, coo.col, coo.data):
+            u, v, w = int(u), int(v), float(w)
+            if u == v:
+                w = w / 2.0  # stored diagonal is twice the loop weight
+            if w == 1.0:
+                fh.write(f"{u} {v}\n")
+            else:
+                fh.write(f"{u} {v} {w!r}\n")
+
+
+WRITER_WEIGHTS = [1.0, 2.0, 0.5, 1 / 3, 1e-300]
+
+
+@st.composite
+def writer_graphs(draw):
+    """Graphs with self-loops, duplicate edges, isolated top nodes, no edges
+    at all, and CSR adjacencies whose indices are unsorted within rows."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    ids = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=60)
+    u = np.array(draw(ids), dtype=np.int64)
+    v = np.array(draw(st.lists(st.integers(0, n - 1), min_size=u.size, max_size=u.size)),
+                 dtype=np.int64)
+    w = draw(st.lists(st.sampled_from(WRITER_WEIGHTS), min_size=u.size, max_size=u.size))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    graph = Graph.from_arrays(u, v, np.array(w), n=n + isolated)
+    if draw(st.booleans()):
+        adjacency = graph.adjacency.copy()
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        for row in range(adjacency.shape[0]):
+            span = slice(adjacency.indptr[row], adjacency.indptr[row + 1])
+            order = rng.permutation(span.stop - span.start)
+            adjacency.indices[span] = adjacency.indices[span][order]
+            adjacency.data[span] = adjacency.data[span][order]
+        adjacency.has_sorted_indices = False
+        graph = Graph._from_csr(adjacency)
+    return graph
+
+
+def written_bytes(writer, graph) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        writer(graph, path)
+        return path.read_bytes()
+
+
+class TestEdgeListWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=writer_graphs(), chunk=st.sampled_from([1, 3, 16, graph_module._WRITE_CHUNK]))
+    def test_bytes_equal_reference_loop(self, graph, chunk):
+        # small chunks put the lines of one graph in several chunks
+        with mock.patch.object(graph_module, "_WRITE_CHUNK", chunk):
+            assert written_bytes(write_edge_list, graph) == written_bytes(
+                reference_write_edge_list, graph
+            )
+
+    def test_more_lines_than_one_chunk(self):
+        rng = np.random.default_rng(4)
+        u, v = rng.integers(0, 50_000, (2, 3 * graph_module._WRITE_CHUNK))
+        w = rng.choice(WRITER_WEIGHTS, u.size, p=[0.9, 0.025, 0.025, 0.025, 0.025])
+        graph = Graph.from_arrays(u, v, w)
+        raw = written_bytes(write_edge_list, graph)
+        assert raw.count(b"\n") > 2 * graph_module._WRITE_CHUNK
+        assert raw == written_bytes(reference_write_edge_list, graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 20), st.integers(2**31 - 100, 2**31 - 1)),
+                st.one_of(st.integers(0, 20), st.integers(2**31 - 100, 2**31 - 1)),
+                st.sampled_from(WRITER_WEIGHTS),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_ids_near_node_bound(self, entries):
+        # a graph this large cannot be built (its row pointers alone take
+        # 16 GB), so the lines of its upper-triangle entries are compared
+        # with the reference loop run on a COO adjacency
+        u = np.array([min(a, b) for a, b, _ in entries], dtype=np.int64)
+        v = np.array([max(a, b) for a, b, _ in entries], dtype=np.int64)
+        w = np.array([x for *_, x in entries])
+        big = SimpleNamespace(
+            n=2**31, adjacency=sp.coo_matrix((w, (u, v)), shape=(2**31, 2**31))
+        )
+        header, lines = written_bytes(reference_write_edge_list, big).split(b"\n", 1)
+        assert header == b"# n=2147483648"
+        assert graph_module._edge_lines(u, v, w) == lines
+
+
 class TestEdgeListIO:
     def test_array_reader_matches_line_reader(self):
         # _read_lines defines the format; the array reader must give the
@@ -369,6 +471,45 @@ class TestEdgeListIO:
         assert time.perf_counter() - start < 20
         assert str(exc.value).startswith("line 100001: node ids must be integers, got '000")
         assert exc.value.line_no == 100_001
+
+    @pytest.mark.parametrize(
+        "content, edges",
+        [
+            pytest.param(b"+3 1\n4 5\n", [(3, 1), (4, 5)], id="plus-sign"),
+            pytest.param(b"4 5\n3 1_0\n", [(4, 5), (3, 10)], id="underscore"),
+            pytest.param(b"+3 1_0 2.5\n", [(3, 10, 2.5)], id="both-weighted"),
+        ],
+    )
+    def test_non_digit_ids_take_line_reader(self, tmp_path, content, edges):
+        assert graph_module._scan_edges(content, graph_module._NODE_BOUND) is None
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(content)
+        g = read_edge_list(path)
+        expected = Graph.from_edges(edges)
+        assert g.n == expected.n
+        assert (g.adjacency != expected.adjacency).nnz == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.integers(0, 99), st.integers(10**17, 10**18 - 1)),
+                st.integers(min_value=1, max_value=18),
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_accumulated_ids_equal_python_int(self, ids):
+        # 18-digit ids, and ids zero-padded up to 18 bytes
+        tokens = [str(value).zfill(width) for value, width in ids]
+        if len(tokens) % 2:
+            tokens.pop()
+        raw = "".join(f"{a} {b}\n" for a, b in zip(tokens[::2], tokens[1::2])).encode()
+        u, v, w = graph_module._scan_edges(raw, 10**18)
+        assert u.tolist() == [int(t) for t in tokens[::2]]
+        assert v.tolist() == [int(t) for t in tokens[1::2]]
+        assert w is None
 
     def test_roundtrip(self, tmp_path):
         g = Graph.from_edges([(0, 1, 0.5), (1, 2), (3, 3, 1.5)])

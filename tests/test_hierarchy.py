@@ -365,8 +365,9 @@ class TestIdentifyPartitionsAndErrors:
 
     @pytest.mark.parametrize(
         "k, z",
-        # k = 200 decomposes one draw per block
-        [*itertools.product([3, 8, 27, 64], [1, 17, 100]), (200, 2)],
+        # k = 200 decomposes one draw per block; z = 17 gathers a full
+        # GATHER_DRAWS batch and then one more draw
+        [*itertools.product([3, 8, 27, 64], [1, 17, 100]), (200, 2), (200, 17)],
     )
     def test_blocked_scoring_matches_reference_loop(self, k, z, monkeypatch):
         rng = np.random.default_rng(100 * k + z)
