@@ -179,7 +179,10 @@ class Graph:
         """Build a graph from parallel edge arrays.
 
         Duplicate undirected edges have their weights summed.  ``n`` is
-        inferred as ``max id + 1`` when absent.
+        inferred as ``max id + 1`` when absent.  The COO coordinates are
+        concatenated straight into int32 (int64 from ``n = 2^31``), the
+        index type of the CSR that scipy builds from them, so they are not
+        made in int64 first and cast.
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -191,9 +194,7 @@ class Graph:
             raise ValueError("node ids must be integers")
         if u.size and (u.min() < 0 or v.min() < 0):
             raise ValueError("node ids must be non-negative")
-        if w is None:
-            w = np.ones(u.shape[0])
-        else:
+        if w is not None:
             w = np.asarray(w, dtype=np.float64)
             if w.shape != u.shape:
                 raise ValueError("weights must match the edge arrays")
@@ -208,10 +209,14 @@ class Graph:
             raise ValueError(f"node id {max_id} out of range for n={n}")
         if n <= 0:
             raise ValueError("graph must have at least one node")
-        adjacency = sp.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(n, n),
-        ).tocsr()
+        # unsafe casting is exact: the ids were checked to be integers in
+        # 0..n-1, and only an empty id array may be float
+        index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        rows = np.concatenate([u, v], dtype=index, casting="unsafe")
+        cols = np.concatenate([v, u], dtype=index, casting="unsafe")
+        data = np.ones(rows.size) if w is None else np.concatenate([w, w])
+        adjacency = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+        del rows, cols, data  # freed before the degrees are summed
         adjacency.sum_duplicates()
         return cls._from_csr(adjacency)
 
@@ -255,6 +260,12 @@ class Graph:
         # matvec with ones, matching the accumulation order of A @ H so the
         # equitability check cancels exactly on structured inputs
         degrees = adjacency @ np.ones(adjacency.shape[0])
+        # finite weights can still sum past the float range, and every
+        # operator built from the degrees would then hold inf or nan
+        with np.errstate(over="ignore"):
+            total = degrees.sum()
+        if not np.isfinite(total):
+            raise ValueError("node degrees and their total must be finite")
         degrees.setflags(write=False)
         return cls(adjacency=adjacency, degrees=degrees)
 
@@ -382,6 +393,9 @@ _NODE_BOUND = 2**31
 # line-by-line reader.
 _ID_WIDTH = 18
 _WEIGHT_WIDTH = 32
+# Bytes per chunk of the array reader: its temporaries take a few times
+# this, not a few times the file.
+_READ_CHUNK = 2**20
 
 
 def read_edge_list(path) -> Graph:
@@ -395,7 +409,8 @@ def read_edge_list(path) -> Graph:
 
     ``_read_lines`` defines the format.  ``_scan_edges`` reads a plain
     ASCII file with array operations and hands any file it does not accept
-    whole to ``_read_lines``, which names the first bad line.
+    whole to ``_read_lines``, which names the first bad line.  A graph
+    whose weighted degrees overflow is an ``EdgeListError`` too.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -405,7 +420,10 @@ def read_edge_list(path) -> Graph:
     if edges is None:
         edges = _read_lines(raw, limit)
     del raw  # freed before the graph's own arrays are built
-    return Graph.from_arrays(*edges, n=n)
+    try:
+        return Graph.from_arrays(*edges, n=n)
+    except ValueError as exc:
+        raise EdgeListError(str(exc)) from exc
 
 
 def _header_node_count(raw: bytes) -> int | None:
@@ -469,9 +487,52 @@ def _scan_edges(raw: bytes, limit: int):
     below ``limit`` and a finite non-negative weight, exactly as
     ``_read_lines`` reads it; None for any other file, so that ids such as
     ``+3`` or ``1_0``, which Python's ``int`` accepts, are read line by line.
-    ``w`` is None when no line has a weight."""
+    ``w`` is None when no line has a weight.
+
+    The file is scanned in chunks of about ``_READ_CHUNK`` bytes, each cut
+    just after a ``\\n``, so that no line, and no ``\\r\\n``, is split and
+    the scan's temporaries are sized by the chunk.  Ids accumulate in int64
+    and are kept as int32 when ``limit`` is at most 2^31.
+    """
     if not raw.isascii() or b"\0" in raw:
         return None
+    index = np.int32 if limit <= _NODE_BOUND else np.int64
+    us, vs, ws = [], [], []
+    for chunk in _line_chunks(raw):
+        edges = _scan_chunk(chunk, limit)
+        if edges is None:
+            return None
+        us.append(edges[0].astype(index))
+        vs.append(edges[1].astype(index))
+        ws.append(edges[2])
+    sizes = [u.size for u in us]
+    if not sum(sizes):
+        return None
+    u, v = np.concatenate(us), np.concatenate(vs)
+    del us, vs
+    if all(w is None for w in ws):
+        return u, v, None
+    return u, v, np.concatenate([np.ones(size) if w is None else w for w, size in zip(ws, sizes)])
+
+
+def _line_chunks(raw: bytes):
+    """``raw`` in consecutive pieces of about ``_READ_CHUNK`` bytes, each
+    ending just after a ``\\n`` (the last one at the end of ``raw``); a line
+    longer than ``_READ_CHUNK`` is one piece."""
+    start = 0
+    while start < len(raw):
+        stop = len(raw)
+        if start + _READ_CHUNK < stop:
+            stop = raw.rfind(b"\n", start, start + _READ_CHUNK) + 1
+            if stop <= start:
+                stop = raw.find(b"\n", start + _READ_CHUNK) + 1 or len(raw)
+        yield raw[start:stop]
+        start = stop
+
+
+def _scan_chunk(raw: bytes, limit: int):
+    """``_scan_edges`` on one piece of a file cut after a ``\\n``, with int64
+    ids; a piece with no edge line gives empty arrays."""
     data = np.frombuffer(raw, dtype=np.uint8)
     # lines end at \n, \r\n or a lone \r, as in text mode
     breaks = np.flatnonzero(data == ord("\n"))
@@ -494,7 +555,9 @@ def _scan_edges(raw: bytes, limit: int):
     # the first token of each edge line, and the line's number of tokens
     line_start = np.flatnonzero(np.diff(line, prepend=-1))
     width = np.diff(line_start, append=starts.size)
-    if not line_start.size or width.min() < 2 or width.max() > 3:
+    if not line_start.size:
+        return np.empty(0, np.int64), np.empty(0, np.int64), None
+    if width.min() < 2 or width.max() > 3:
         return None
     u, v = (
         _decimal_ids(data, starts[line_start + col], ends[line_start + col])

@@ -74,8 +74,21 @@ class BetheClustering:
     fallback: bool = False
 
 
+# Columns per block of ``_residual_norms``.
+_RESIDUAL_BLOCK = 8
+
+
 def _residual_norms(matrix, eigenvalues, eigenvectors) -> np.ndarray:
-    return np.linalg.norm(matrix @ eigenvectors - eigenvectors * eigenvalues, axis=0)
+    """``||M v - theta v||`` of each pair, ``_RESIDUAL_BLOCK`` columns at a
+    time, so the temporaries are n by the block, not n by the pair count.
+    The probe sizes (1, then multiples of 8) fill every block, and each
+    norm is then summed as in one n-by-m product, bit for bit."""
+    norms = np.empty(len(eigenvalues))
+    for start in range(0, len(eigenvalues), _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        block = eigenvectors[:, cols]
+        norms[cols] = np.linalg.norm(matrix @ block - block * eigenvalues[cols], axis=0)
+    return norms
 
 
 def eigs_symmetric(
@@ -111,6 +124,8 @@ def eigs_symmetric(
             f"{0 if residuals is None else len(residuals)} available)",
             residual_norms=residuals,
         ) from exc
+    if np.all(values[1:] >= values[:-1]):  # ARPACK usually returns them ascending
+        return values, vectors
     order = np.argsort(values, kind="stable")
     return values[order], vectors[:, order]
 
@@ -168,6 +183,7 @@ def _count_nonpositive(
         count = int(np.sum(values <= tau))
         if count < m or m >= cap:
             break
+        del values, vectors  # freed before the larger probe runs
         m = min(max(8, 2 * m), cap)
     residuals = _residual_norms(matrix, values, vectors)
     if np.any(np.abs(values - tau) <= residuals):

@@ -105,6 +105,13 @@ class TestDetect:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("detect", "--edges", str(tmp_path / "absent.tsv")) == EXIT_DATA
 
+    def test_degree_overflow_is_data_error(self, tmp_path, capsys):
+        # finite weights whose sum at node 1 overflows to inf
+        edges = tmp_path / "huge.tsv"
+        edges.write_text("0 1 1e308\n1 2 1e308\n")
+        assert run("detect", "--edges", str(edges)) == EXIT_DATA
+        assert "error: node degrees and their total must be finite" in capsys.readouterr().err
+
     def test_zero_weight_edges_are_numerical_error(self, tmp_path, capsys):
         edges = tmp_path / "zero.tsv"
         edges.write_text("0 1 0\n1 2 0\n")

@@ -2,6 +2,7 @@
 
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -18,9 +19,11 @@ from hierspect import (
     aggregate,
     coarse_affinity_update,
     estimate_affinity,
+    generate_planted_partition,
     is_exact_eep,
     quotient,
     read_edge_list,
+    solve_planted_params,
     write_edge_list,
 )
 from hierspect.errors import EdgeListError
@@ -66,6 +69,53 @@ class TestGraphConstruction:
     def test_id_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges([(0, 5)], n=3)
+
+    @pytest.mark.parametrize(
+        "weights", [[1e308, 1e308], [1e308, 0.0]], ids=["node-degree", "degree-total"]
+    )
+    def test_degree_overflow_rejected(self, weights):
+        # finite weights: node 1's degree, or the sum of the degrees, is inf
+        with pytest.raises(ValueError, match="degrees and their total must be finite"):
+            Graph.from_arrays(np.array([0, 1]), np.array([1, 2]), np.array(weights))
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+    def test_from_arrays_matches_int64_build(self, dtype, weighted):
+        # the CSR that scipy builds from int64 coordinates and a [w, w]
+        # concatenation of the weights, duplicates included
+        rng = np.random.default_rng(7)
+        u, v = rng.integers(0, 3000, (2, 20_000))
+        w = rng.choice([0.5, 1.0, 2.0], u.size) if weighted else None
+        ones = np.ones(u.size) if w is None else w
+        expected = sp.coo_matrix(
+            (np.concatenate([ones, ones]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(3000, 3000),
+        ).tocsr()
+        expected.sum_duplicates()
+        g = Graph.from_arrays(u.astype(dtype), v.astype(dtype), w, n=3000)
+        assert g.adjacency.indices.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(g.adjacency, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert g.degrees.tobytes() == (expected @ np.ones(3000)).tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_from_arrays_peak_memory(self, weighted):
+        # int64 ids go straight into int32 coordinates, and unit weights are
+        # one array: the build peaks at 2.3 times the CSR's bytes, where
+        # int64 coordinates and a [w, w] concatenation took 2.6-3.0 times
+        rng = np.random.default_rng(1)
+        u, v = rng.integers(0, 20_000, (2, 200_000))
+        w = rng.random(u.size) if weighted else None
+        tracemalloc.start()
+        try:
+            g = Graph.from_arrays(u, v, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a = g.adjacency
+        assert peak <= 2.5 * (a.indptr.nbytes + a.indices.nbytes + a.data.nbytes)
 
 
 class TestPartition:
@@ -432,6 +482,111 @@ class TestEdgeListWriter:
         header, lines = written_bytes(reference_write_edge_list, big).split(b"\n", 1)
         assert header == b"# n=2147483648"
         assert graph_module._edge_lines(u, v, w) == lines
+
+
+def csr_bytes(graph):
+    """The node count and the bytes of a graph's arrays."""
+    a = graph.adjacency
+    return graph.n, *(x.tobytes() for x in (a.indptr, a.indices, a.data, graph.degrees))
+
+
+def line_reader_graph(raw):
+    return Graph.from_arrays(*graph_module._read_lines(raw, graph_module._NODE_BOUND))
+
+
+class TestChunkedReader:
+    """The array reader scans a file in chunks cut just after a newline; a
+    chunk size of a few bytes puts about one line in each chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_same_graph_as_line_reader(self, tmp_path, chunk):
+        rng = np.random.default_rng(26)
+        path = tmp_path / "edges.tsv"
+        scanned = 0
+        for _ in range(300):
+            raw = random_edge_file(rng)
+            path.write_bytes(raw)
+            with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+                try:
+                    expected = line_reader_graph(raw)
+                except EdgeListError as exc:
+                    with pytest.raises(EdgeListError) as got:
+                        read_edge_list(path)
+                    assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
+                    continue
+                scanned += graph_module._scan_edges(raw, graph_module._NODE_BOUND) is not None
+                assert csr_bytes(read_edge_list(path)) == csr_bytes(expected)
+        # most valid files took the chunked array path
+        assert scanned > 120, scanned
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"0 1\r\n1 2 2.5\r\n2 3\r\n" * 8, id="crlf"),
+            pytest.param(b"0 1\r1 2 0.5\r2 3\r" * 8 + b"3 4\n5 6\r", id="lone-cr"),
+            pytest.param(b"# c\n\n0 1\n  \n\t# 1 2 3 4\n1 2\n" * 8, id="comments-blanks"),
+            pytest.param(b"0 1\n" * 30 + b"1 2 0.25\n" + b"2 3\n" * 30, id="one-weighted-line"),
+            pytest.param(b"# n=40\n" + b"3 9 1.5\n" * 20 + b"7 8\n" * 20, id="header"),
+        ],
+    )
+    def test_lines_across_chunks(self, tmp_path, content, chunk):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(content)
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            u, v, _ = graph_module._scan_edges(content, graph_module._NODE_BOUND)
+            got = read_edge_list(path)
+        # ids below 2^31 are kept as int32
+        assert u.dtype == v.dtype == np.int32
+        n = graph_module._header_node_count(content)
+        expected = Graph.from_arrays(
+            *graph_module._read_lines(content, graph_module._NODE_BOUND), n=n
+        )
+        assert csr_bytes(got) == csr_bytes(expected)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_malformed_line_in_later_chunk(self, tmp_path, chunk):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"0 1\n" * 40 + b"1 2 2.5\n0 x\n2 3\n")
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            with pytest.raises(EdgeListError) as exc:
+                read_edge_list(path)
+        assert str(exc.value) == "line 42: node ids must be integers, got '0 x'"
+        assert exc.value.line_no == 42
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        raw=st.lists(st.sampled_from([b"7", b" ", b"\r", b"\n"]), max_size=60).map(b"".join),
+        chunk=st.integers(min_value=1, max_value=12),
+    )
+    def test_chunks_end_after_newlines(self, raw, chunk):
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            chunks = list(graph_module._line_chunks(raw))
+        assert b"".join(chunks) == raw
+        assert all(chunks)
+        assert all(piece.endswith(b"\n") for piece in chunks[:-1])
+        # a chunk longer than the size is one line
+        assert all(b"\n" not in piece[:-1] for piece in chunks if len(piece) > chunk)
+
+    def test_peak_memory_within_four_csr_sizes(self, tmp_path):
+        # the scan's temporaries are sized by the chunk and the COO
+        # coordinates are int32; a whole-file scan with int64 coordinates
+        # peaked at 5.4 times the CSR's bytes
+        alpha, beta = solve_planted_params(4, 20.0, 6.0)
+        graph, _ = generate_planted_partition(20_000, 4, alpha, beta, seed=3)
+        path = tmp_path / "edges.tsv"
+        write_edge_list(graph, path)
+        del graph
+        tracemalloc.start()
+        try:
+            got = read_edge_list(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        a = got.adjacency
+        assert a.nnz > 2 * 190_000
+        csr = a.indptr.nbytes + a.indices.nbytes + a.data.nbytes
+        assert peak <= 4 * csr, peak / csr
 
 
 class TestEdgeListIO:

@@ -1,5 +1,7 @@
 """Count probe, Bethe Hessian assembly, group-count estimation."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -65,6 +67,25 @@ class TestEigsSymmetric:
         v2, x2 = eigs_symmetric(matrix, 3, seed=11)
         np.testing.assert_array_equal(v1, v2)
         np.testing.assert_array_equal(x1, x2)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_pairs_come_back_ascending(self, matrix, monkeypatch, ascending):
+        arpack = {}
+
+        def eigsh_spy(*args, **kwargs):
+            values, vectors = scipy.sparse.linalg.eigsh(*args, **kwargs)
+            if not ascending:
+                values, vectors = values[::-1], vectors[:, ::-1]
+            arpack["vectors"] = vectors
+            return values, vectors
+
+        monkeypatch.setattr(spectral, "eigsh", eigsh_spy)
+        values, vectors = eigs_symmetric(matrix, 4, seed=7)
+        assert np.all(np.diff(values) >= 0)
+        residual = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
+        assert np.all(residual <= spectral.COUNT_PROBE_TOL * np.abs(values))
+        # ARPACK's own array when it is already in order: no reordering copy
+        assert (vectors is arpack["vectors"]) == ascending
 
     @pytest.mark.parametrize("available", [2, 0])
     def test_no_convergence_is_solver_error(self, monkeypatch, available):
@@ -347,6 +368,32 @@ class TestSparseCount:
         spy.clear()
         assert spectral._count_nonpositive(operators[1.0][0], seed=5)[0] == 4
         assert spy == [1, 8]
+
+    @pytest.mark.parametrize("m", [1, 8, 16, 32])
+    def test_residual_norms_equal_one_product(self, operators, m):
+        # the blocks of columns give each norm bit for bit
+        op, _ = operators[1.0]
+        values, vectors = eigs_symmetric(op, m, seed=5)
+        np.testing.assert_array_equal(
+            spectral._residual_norms(op, values, vectors),
+            np.linalg.norm(op @ vectors - vectors * values, axis=0),
+        )
+
+    def test_previous_probe_freed_before_the_next(self, operators, monkeypatch):
+        probes = []
+        alive = []
+
+        def eigs_spy(matrix, m, seed):
+            alive.append([ref() is not None for ref in probes])
+            values, vectors = eigs_symmetric(matrix, m, seed)
+            probes.append(weakref.ref(vectors))
+            return values, vectors
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
+        count, _ = spectral._count_nonpositive(operators[1.0][0], seed=5)
+        assert count == 4
+        # probes of 1 and 8 values: the first is gone when the second runs
+        assert alive == [[], [False]]
 
     def test_plus_r_probes_start_at_eight(self, graph, spy):
         res = cluster_bethe_hessian(graph, seed=5)
