@@ -18,8 +18,11 @@ Each line names a step and prints two numbers: the tracemalloc peak
 during the step, in MB of traced allocations (what the process already
 held when the step began counts), and the process's high-water RSS
 (``ru_maxrss``) right after it.  Steps inside the detect are indented and
-print as they end, before the detect's own line.  Tracing starts after the
-imports, so its bookkeeping adds little to the RSS.  The ``csr`` line
+print as they end, before the detect's own line.  Above 1,024 nodes the
+``-r`` steps run in a forked child and are marked so: their peaks count
+what the detect held at the fork, and their RSS is the child's own.
+Tracing starts after the imports, so its bookkeeping adds little to the
+RSS.  The ``csr`` line
 gives the bytes of the graph that was read (indptr, indices and data),
 the unit of the memory bound in ``tests/test_graph.py``.
 """
@@ -48,6 +51,7 @@ class PeakMeter:
 
     def __init__(self):
         self.running = []  # the peak so far of each open step, outermost first
+        self.pid = os.getpid()
 
     def _fold(self) -> None:
         if self.running:
@@ -65,7 +69,12 @@ class PeakMeter:
             if self.running:
                 self.running[-1] = max(self.running[-1], peak)
             indent = "  " * len(self.running)
-            print(f"{indent + label:<32} {peak / MB:>12.1f} {maxrss_mb():>10.1f}", flush=True)
+            line = f"{indent + label:<32} {peak / MB:>12.1f} {maxrss_mb():>10.1f}"
+            if os.getpid() != self.pid:
+                line += "  (forked child)"
+            # one write per line, so a child's lines do not split this one's
+            sys.stdout.write(line + "\n")
+            sys.stdout.flush()
 
     def wrap(self, module, attr: str, label) -> None:
         """Measure every call of ``module.attr``; ``label(*args)`` names it."""

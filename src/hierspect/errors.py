@@ -10,10 +10,11 @@ class DegenerateGraphError(HierspectError, ValueError):
 
 
 class SolverError(HierspectError, RuntimeError):
-    """An iterative eigensolver failed to converge.
+    """An eigensolve failed, could not prove its count, or had no finite
+    operator to run on.
 
     Carries the residual norms ||M v - lambda v|| of whatever eigenpairs
-    were available when the iteration cap was hit.
+    were available when it stopped, where there were any.
     """
 
     def __init__(self, message, residual_norms=None):

@@ -6,6 +6,10 @@ the square root of the average degree.  The number of non-positive
 eigenvalues of the two operators estimates the number of assortative and
 disassortative groups respectively: one by-value LAPACK call per operator
 up to the dense cutoff, seeded ARPACK probes of doubling size above it.
+Above the cutoff the ``-r`` count runs in a forked child process while the
+parent counts at ``+r``; it stays in-process where ``fork`` is unavailable,
+on fewer than two CPUs, in a process that ``multiprocessing`` started, or
+while other Python threads run.
 Their eigenvectors feed a k-means step that assigns nodes to groups.  That
 step is one Lloyd run, started from the rows a column-pivoted QR picks
 (Damle, Minden and Ying, 2019, "Simple, direct and efficient multi-way
@@ -14,6 +18,9 @@ spectral clustering").
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +203,102 @@ def _count_nonpositive(
     return count, vectors[:, :count].copy()
 
 
+def _count_at(graph: Graph, r: float, seed: int, name: str, first: int):
+    """``_count_nonpositive`` of ``bethe_hessian(graph, r)``, seeded by sign."""
+    return _count_nonpositive(
+        bethe_hessian(graph, r), seed=substream_seed(seed, name), first=first
+    )
+
+
+def _fork_context():
+    """The ``fork`` context to count ``-r`` in a child with, or ``None``.
+
+    ``None`` where the start method is missing, where fewer than two CPUs
+    are available to run the two signs at once, in a ``multiprocessing``
+    child (a ``HIERSPECT_WORKERS`` pool), so forks do not nest, and where
+    other Python threads run, since a fork copies any lock they hold.
+    """
+    if multiprocessing.parent_process() is not None or threading.active_count() > 1:
+        return None
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _send_count(conn, *args) -> None:
+    """Child side: send ``_count_at(*args)``, or the exception it raised."""
+    try:
+        result = _count_at(*args)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _count_both_signs(graph: Graph, r: float, seed: int) -> tuple[tuple, tuple]:
+    """``(count, vectors)`` at ``+r`` and at ``-r``.
+
+    +r counts at least one value on every graph measured (one on
+    Erdos-Renyi graphs), so a one-value first probe there is always spent;
+    a count of zero would still come out of the eight-value one.  Above
+    the dense cutoff a forked child counts at ``-r``, on the graph it
+    inherits, while this process counts at ``+r``; the seeds and probes
+    are those of the in-process path, so the results are the same bits.
+    An error at ``+r`` is raised first, as in-process, and the child is
+    stopped; the child's own error is raised in this process.
+    """
+    plus_args = (graph, r, seed, "pos", 8)
+    minus_args = (graph, -r, seed, "neg", 1)
+    context = _fork_context() if graph.n > _DENSE_CUTOFF else None
+    if context is None:
+        return _count_at(*plus_args), _count_at(*minus_args)
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_send_count, args=(send, *minus_args), daemon=True)
+    try:
+        child.start()
+    except OSError:  # the fork was refused (memory, process ids): count here
+        receive.close()
+        return _count_at(*plus_args), _count_at(*minus_args)
+    finally:
+        send.close()  # so that a child dying without a result reads as EOF here
+    try:
+        plus = _count_at(*plus_args)
+        try:
+            minus = receive.recv()
+        except EOFError:
+            child.join()
+            raise RuntimeError(
+                f"the -r eigenvalue count exited with code {child.exitcode} "
+                "and no result"
+            ) from None
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        child.join()
+        receive.close()
+    if isinstance(minus, Exception):
+        raise minus
+    return plus, minus
+
+
+def _check_finite(graph: Graph, r: float) -> None:
+    """Raise ``SolverError`` unless ``B(+r)`` and ``B(-r)`` are finite.
+
+    Every entry of either operator is at most ``r^2 + 1 + max degree +
+    r * max weight`` in magnitude, so the operators are finite where that
+    bound is, without being built.
+    """
+    bound = r * r + 1.0 + graph.max_degree + r * float(graph.adjacency.data.max())
+    if not np.isfinite(bound):
+        raise SolverError(
+            f"Bethe Hessian at r = +-{r:.6g} is not finite: "
+            "r^2 + 1 + max degree + r * max weight overflows"
+        )
+
+
 def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     """Estimate the number of groups and cluster nodes at the finest scale.
 
@@ -211,25 +314,15 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     if graph.max_degree <= 0:
         raise DegenerateGraphError("graph has no edges (max degree is zero)")
     r = float(np.sqrt(graph.total_weight / graph.n))
-    blocks = []
-    counts = []
-    # +r counts at least one value on every graph measured (one on
-    # Erdos-Renyi graphs), so a one-value first probe there is always
-    # spent; a count of zero would still come out of the eight-value one
-    for sign, name, first in ((1.0, "pos", 8), (-1.0, "neg", 1)):
-        count, vectors = _count_nonpositive(
-            bethe_hessian(graph, sign * r), seed=substream_seed(seed, name), first=first
-        )
-        counts.append(count)
-        if count:
-            blocks.append(vectors)
-    k_plus, k_minus = counts
+    _check_finite(graph, r)
+    signs = _count_both_signs(graph, r, seed)
+    (k_plus, _), (k_minus, _) = signs
     # the two counts can overlap below average degree 1; never exceed n
     k_hat = min(k_plus + k_minus, graph.n)
     if k_hat <= 1:
         partition = Partition.single_group(graph.n)
     else:
-        q = np.hstack(blocks)[:, :k_hat]
+        q = np.hstack([vectors for count, vectors in signs if count])[:, :k_hat]
         # the pivoted QR picks, one at a time, the row of q farthest from
         # the span of the rows picked before: about one row per group, so
         # one Lloyd run from them is enough

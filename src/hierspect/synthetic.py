@@ -210,6 +210,7 @@ def sample_block_model(
     else:
         u = np.empty(0, dtype=np.int64)
         v = np.empty(0, dtype=np.int64)
+    del all_u, all_v  # freed before the graph is built
     return Graph.from_arrays(u, v, None, n=n), Partition.from_labels(labels)
 
 

@@ -135,6 +135,15 @@ class TestDetect:
         err = capsys.readouterr().err
         assert "error: eigensolver did not converge (8 pairs requested, 0 available)" in err
 
+    def test_overflowing_operator_is_numerical_error(self, tmp_path, capsys):
+        # finite weights and degrees, but r * A overflows at r ~ 8.2e149
+        edges = tmp_path / "huge.tsv"
+        edges.write_text("0 1 1e300\n1 2 1\n")
+        assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "error: Bethe Hessian at r = +-8.16497e+149 is not finite" in err
+        assert "Traceback" not in err
+
     def test_isolated_top_ids_keep_node_count(self, tmp_path):
         edges, truth, hier = (tmp_path / name for name in ("e.tsv", "t.json", "h.json"))
         code = run(

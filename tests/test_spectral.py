@@ -1,5 +1,10 @@
 """Count probe, Bethe Hessian assembly, group-count estimation."""
 
+import multiprocessing
+import os
+import re
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -18,9 +23,49 @@ from hierspect import (
     cluster_bethe_hessian,
 )
 from hierspect.errors import DegenerateGraphError, SolverError
+from hierspect.rng import substream_seed
 from hierspect.spectral import eigs_symmetric
 
 from conftest import random_graph
+
+# above the dense cutoff -r is counted in a forked child where
+# ``_fork_context`` gives a context: fork, two CPUs, no other thread
+needs_fork = pytest.mark.skipif(
+    spectral._fork_context() is None, reason="-r is counted in-process on this host"
+)
+
+
+@pytest.fixture(scope="module")
+def graph():
+    """Assortative planted partition just above the dense cutoff: counts 4 and 0."""
+    from hierspect import generate_planted_partition, solve_planted_params
+
+    alpha, beta = solve_planted_params(4, 20.0, 6.0)
+    g, _ = generate_planted_partition(1500, 4, alpha, beta, seed=8)
+    assert g.n > spectral._DENSE_CUTOFF
+    return g
+
+
+def _log_probes(monkeypatch, path):
+    """Spy on ``eigs_symmetric`` here and in processes forked from here:
+    each probe appends a ``pid m`` line to ``path``.  Returns a reader of
+    the probe sizes by pid."""
+
+    def eigs_spy(matrix, m, seed):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {m}\n")
+        return eigs_symmetric(matrix, m, seed)
+
+    monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
+
+    def read():
+        probes = {}
+        for line in path.read_text().splitlines():
+            pid, m = map(int, line.split())
+            probes.setdefault(pid, []).append(m)
+        return probes
+
+    return read
 
 
 class TestEigsSymmetric:
@@ -189,6 +234,26 @@ class TestClusterBetheHessian:
         res = cluster_bethe_hessian(g, seed=2)
         assert res.k_hat <= g.n
 
+    @pytest.mark.parametrize("weight", [1e300, 1e250])
+    def test_overflowing_operator_rejected(self, monkeypatch, weight):
+        # degrees and total weight are finite; r * A is not
+        g = Graph.from_edges([(0, 1, weight), (1, 2, 1.0)])
+        r = np.sqrt(g.total_weight / g.n)
+
+        def solve(*args):
+            raise AssertionError("solved or forked before the check")
+
+        monkeypatch.setattr(spectral, "_count_both_signs", solve)
+        with pytest.raises(SolverError, match=re.escape(f"r = +-{r:.6g} is not finite")):
+            cluster_bethe_hessian(g, seed=0)
+
+    def test_large_finite_operators_pass(self):
+        g = Graph.from_edges([(0, 1, 1e200), (1, 2, 1.0)])
+        r = np.sqrt(g.total_weight / g.n)
+        spectral._check_finite(g, r)
+        for sign in (1.0, -1.0):
+            assert np.isfinite(bethe_hessian(g, sign * r).data).all()
+
     def test_empty_graph_rejected(self):
         with pytest.raises(DegenerateGraphError):
             cluster_bethe_hessian(Graph.from_edges([], n=4), seed=0)
@@ -293,15 +358,6 @@ class TestSparseCount:
     on its side of ``tau``."""
 
     @pytest.fixture(scope="class")
-    def graph(self):
-        from hierspect import generate_planted_partition, solve_planted_params
-
-        alpha, beta = solve_planted_params(4, 20.0, 6.0)
-        g, _ = generate_planted_partition(1500, 4, alpha, beta, seed=8)
-        assert g.n > spectral._DENSE_CUTOFF
-        return g
-
-    @pytest.fixture(scope="class")
     def operators(self, graph):
         r = np.sqrt(graph.total_weight / graph.n)
         ops = {}
@@ -395,7 +451,19 @@ class TestSparseCount:
         # probes of 1 and 8 values: the first is gone when the second runs
         assert alive == [[], [False]]
 
-    def test_plus_r_probes_start_at_eight(self, graph, spy):
+    @needs_fork
+    def test_plus_r_probes_start_at_eight(self, graph, monkeypatch, tmp_path):
+        probes = _log_probes(monkeypatch, tmp_path / "probes.txt")
+        res = cluster_bethe_hessian(graph, seed=5)
+        assert (res.k_plus, res.k_minus) == (4, 0)
+        # +r is counted here from an eight-value probe; -r in one other
+        # process from one value
+        by_pid = probes()
+        assert by_pid.pop(os.getpid()) == [8]
+        assert list(by_pid.values()) == [[1]]
+
+    def test_in_process_probes_start_at_eight(self, graph, spy, monkeypatch):
+        monkeypatch.setattr(spectral, "_fork_context", lambda: None)
         res = cluster_bethe_hessian(graph, seed=5)
         assert (res.k_plus, res.k_minus) == (4, 0)
         # +r is counted first, from an eight-value probe; -r from one value
@@ -425,6 +493,131 @@ class TestSparseCount:
         # nearly the distance of its true eigenvalue from tau
         assert residuals[:dense_count].max() < 1e-8
         assert residuals[dense_count] > 0.5
+
+
+class TestForkedMinusCount:
+    """Above the dense cutoff a forked child counts at -r while this
+    process counts at +r: the same bits as in-process, errors raised here,
+    and no child left behind."""
+
+    @pytest.fixture(scope="class")
+    def disassortative(self):
+        from hierspect import generate_planted_partition
+
+        g, _ = generate_planted_partition(1500, 4, 2.0, 26.0, seed=8)
+        return g
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    @needs_fork
+    @pytest.mark.parametrize("which", ["graph", "disassortative"])
+    def test_forked_equals_in_process(self, request, monkeypatch, which):
+        g = request.getfixturevalue(which)
+        r = float(np.sqrt(g.total_weight / g.n))
+        forked = spectral._count_both_signs(g, r, 5), cluster_bethe_hessian(g, seed=5)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(spectral, "_fork_context", lambda: None)
+        in_process = spectral._count_both_signs(g, r, 5), cluster_bethe_hessian(g, seed=5)
+        (signs, res), (signs_ref, res_ref) = forked, in_process
+        # both paths keep each sign's seed substream and first probe size
+        by_sign = [
+            spectral._count_nonpositive(
+                bethe_hessian(g, sign * r), seed=substream_seed(5, name), first=first
+            )
+            for sign, name, first in ((1.0, "pos", 8), (-1.0, "neg", 1))
+        ]
+        for (count, vectors), (count_ref, vectors_ref), (count_sign, vectors_sign) in zip(
+            signs, signs_ref, by_sign
+        ):
+            assert count == count_ref == count_sign
+            self.assert_same_bits(vectors, vectors_ref)
+            self.assert_same_bits(vectors, vectors_sign)
+        assert (res.k_plus, res.k_minus) == (res_ref.k_plus, res_ref.k_minus)
+        self.assert_same_bits(res.partition.assignment, res_ref.partition.assignment)
+        # the disassortative graph sends -r vectors across the pipe
+        assert (res.k_plus, res.k_minus) == ((4, 0) if which == "graph" else (1, 3))
+
+    @needs_fork
+    def test_minus_r_error_reaches_caller(self, graph, monkeypatch):
+        real = spectral.eigs_symmetric
+
+        def fail_at_minus_r(matrix, m, seed):
+            if m == 1:  # only -r starts from a one-value probe
+                raise SolverError("minus r failed", residual_norms=np.array([0.5, 0.25]))
+            return real(matrix, m, seed)
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", fail_at_minus_r)
+        with pytest.raises(SolverError, match="^minus r failed$") as info:
+            cluster_bethe_hessian(graph, seed=5)
+        np.testing.assert_array_equal(info.value.residual_norms, [0.5, 0.25])
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_plus_r_error_stops_the_child(self, graph, monkeypatch):
+        real = spectral.eigs_symmetric
+
+        def slow_minus_failing_plus(matrix, m, seed):
+            if m == 1:
+                time.sleep(60)
+            if m == 8:
+                raise SolverError("plus r failed")
+            return real(matrix, m, seed)
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", slow_minus_failing_plus)
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="^plus r failed$"):
+            cluster_bethe_hessian(graph, seed=5)
+        # the sleeping child was terminated, not waited for
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_child_dying_without_a_result(self, graph, monkeypatch):
+        real = spectral.eigs_symmetric
+
+        def exit_at_minus_r(matrix, m, seed):
+            if m == 1:
+                os._exit(7)
+            return real(matrix, m, seed)
+
+        monkeypatch.setattr(spectral, "eigs_symmetric", exit_at_minus_r)
+        with pytest.raises(RuntimeError, match="exited with code 7 and no result"):
+            cluster_bethe_hessian(graph, seed=5)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_refused_fork_counts_here(self, graph, monkeypatch, tmp_path):
+        probes = _log_probes(monkeypatch, tmp_path / "probes.txt")
+
+        def refuse():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        res = cluster_bethe_hessian(graph, seed=5)
+        assert (res.k_plus, res.k_minus) == (4, 0)
+        assert probes() == {os.getpid(): [8, 1]}
+
+    def test_dense_path_does_not_fork(self, two_cliques, monkeypatch):
+        def no_fork():
+            raise AssertionError("the dense path asked for a fork")
+
+        monkeypatch.setattr(spectral, "_fork_context", no_fork)
+        assert cluster_bethe_hessian(two_cliques, seed=0).k_hat == 2
+
+    @pytest.mark.parametrize("where", ["child", "threads", "one_cpu", "no_fork"])
+    def test_in_process_where_fork_would_not_help(self, monkeypatch, where):
+        if where == "child":
+            monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        elif where == "threads":
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
+        elif where == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert spectral._fork_context() is None
 
 
 def _near_threshold(model, snr, graph_seed, sign):
