@@ -269,7 +269,9 @@ def cmd_benchmark(model, n, schedule, avg_degree, snr_range, reps, seed, out_pat
     try:
         workers = int(os.environ.get("HIERSPECT_WORKERS", "1"))
     except ValueError:
-        raise click.UsageError("HIERSPECT_WORKERS must be an integer")
+        workers = 0  # rejected below, with the counts under 1
+    if workers < 1:
+        raise click.UsageError("HIERSPECT_WORKERS must be a positive integer")
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_benchmark_rep, tasks))

@@ -16,7 +16,6 @@ Conventions
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass
 
@@ -183,6 +182,10 @@ class Graph:
         concatenated straight into int32 (int64 from ``n = 2^31``), the
         index type of the CSR that scipy builds from them, so they are not
         made in int64 first and cast.
+
+        Given weights are summed once per unordered pair and the sum stored
+        in both orientations, so ``A[u, v]`` and ``A[v, u]`` are one float
+        (summed cell by cell, they can round apart).
         """
         u = np.asarray(u)
         v = np.asarray(v)
@@ -212,9 +215,15 @@ class Graph:
         # unsafe casting is exact: the ids were checked to be integers in
         # 0..n-1, and only an empty id array may be float
         index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        if w is not None:
+            upper = sp.coo_matrix((w, (np.minimum(u, v), np.maximum(u, v))), shape=(n, n))
+            upper = upper.tocsr().tocoo()  # tocsr sums each pair's duplicates
+            u, v, w = upper.row, upper.col, upper.data
+            del upper
         rows = np.concatenate([u, v], dtype=index, casting="unsafe")
         cols = np.concatenate([v, u], dtype=index, casting="unsafe")
         data = np.ones(rows.size) if w is None else np.concatenate([w, w])
+        del u, v, w  # the pair sums, if made here, are freed before the CSR
         adjacency = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         del rows, cols, data  # freed before the degrees are summed
         adjacency.sum_duplicates()
@@ -388,37 +397,35 @@ _HEADER = re.compile(rb"#\s*n=([0-9]+)")
 # Node counts and ids at or above this bound are rejected: the row pointers
 # of a graph that size would take 16 GB on their own.
 _NODE_BOUND = 2**31
-# The longest id and weight tokens that the array reader converts (18
-# digits cannot overflow int64); a file with a longer one goes to the
-# line-by-line reader.
+# Ids accumulate in int64 from at most 18 significant digits; one with more
+# reads as 10^18, above every node bound.
 _ID_WIDTH = 18
+# Weight tokens up to this many bytes are cast together in one byte matrix.
 _WEIGHT_WIDTH = 32
-# Bytes per chunk of the array reader: its temporaries take a few times
-# this, not a few times the file.
+# Bytes per chunk of the reader: its temporaries take a few times this, not
+# a few times the file.
 _READ_CHUNK = 2**20
 
 
 def read_edge_list(path) -> Graph:
     """Read a graph from a text edge list.
 
-    One edge per line, ``u v [w]``, whitespace-separated 0-based integer
-    ids; blank lines and lines starting with ``#`` are ignored.  A first
-    line ``# n=<N>``, as ``write_edge_list`` writes, sets the node count,
-    so isolated nodes above the largest id are kept; without it ``n`` is
-    the largest id plus one.  Ids and ``N`` must be below 2^31.
-
-    ``_read_lines`` defines the format.  ``_scan_edges`` reads a plain
-    ASCII file with array operations and hands any file it does not accept
-    whole to ``_read_lines``, which names the first bad line.  A graph
-    whose weighted degrees overflow is an ``EdgeListError`` too.
+    One edge per line, ``u v [w]``: tokens separated by ASCII whitespace,
+    lines ending at ``\\n``, ``\\r\\n`` or a lone ``\\r``, blank lines and
+    lines whose first token starts with ``#`` ignored.  An id is ASCII
+    decimal digits; leading zeros do not count, and an id of more than 18
+    significant digits is out of range.  A weight is what numpy's cast from
+    bytes to float (Python's ``float``) reads, finite and non-negative, with
+    no NUL or non-ASCII byte.  A first line ``# n=<N>``, as
+    ``write_edge_list`` writes, sets the node count (else it is the largest
+    id plus one).  Ids and ``N`` must be below 2^31.  An ``EdgeListError``
+    names the first line that breaks these rules, or says that the weighted
+    degrees overflow.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     n = _header_node_count(raw)
-    limit = _NODE_BOUND if n is None else n
-    edges = _scan_edges(raw, limit)
-    if edges is None:
-        edges = _read_lines(raw, limit)
+    edges = _scan_edges(raw, _NODE_BOUND if n is None else n)
     del raw  # freed before the graph's own arrays are built
     try:
         return Graph.from_arrays(*edges, n=n)
@@ -437,77 +444,23 @@ def _header_node_count(raw: bytes) -> int | None:
     return int(count)
 
 
-def _read_lines(raw: bytes, limit: int):
-    """``(u, v, w)`` arrays of an edge list read one line at a time, as text
-    with universal newlines; an ``EdgeListError`` names the first bad line."""
-    us, vs, ws = [], [], []
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="replace")
-    for line_no, line in enumerate(text, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise _line_error(line_no, f"expected 'u v [w]', got {line!r}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise _line_error(line_no, f"node ids must be integers, got {line!r}") from None
-        if u < 0 or v < 0:
-            raise _line_error(line_no, "node ids must be non-negative")
-        for node in (u, v):
-            if node >= limit:
-                raise _line_error(
-                    line_no, f"node id {node} out of range, ids must be below {limit}"
-                )
-        w = 1.0
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise _line_error(line_no, f"weight must be a number, got {parts[2]!r}") from None
-            if not np.isfinite(w) or w < 0:
-                raise _line_error(line_no, "weight must be finite and non-negative")
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
-    if not us:
-        raise EdgeListError("edge list contains no edges")
-    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64), np.array(ws)
-
-
-def _line_error(line_no: int, message: str) -> EdgeListError:
-    return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
-
-
 def _scan_edges(raw: bytes, limit: int):
-    """``(u, v, w)`` arrays of an ASCII file in which every line is blank, a
-    comment or ``u v [w]`` with plain decimal ids (the bytes ``0-9`` only)
-    below ``limit`` and a finite non-negative weight, exactly as
-    ``_read_lines`` reads it; None for any other file, so that ids such as
-    ``+3`` or ``1_0``, which Python's ``int`` accepts, are read line by line.
-    ``w`` is None when no line has a weight.
-
-    The file is scanned in chunks of about ``_READ_CHUNK`` bytes, each cut
-    just after a ``\\n``, so that no line, and no ``\\r\\n``, is split and
-    the scan's temporaries are sized by the chunk.  Ids accumulate in int64
-    and are kept as int32 when ``limit`` is at most 2^31.
+    """``(u, v, w)`` arrays of a file's edge lines, ids below ``limit`` (at
+    most 2^31) as int32 and ``w`` None when no line has a weight.  The file is
+    scanned in chunks of about ``_READ_CHUNK`` bytes, each cut just after a
+    ``\\n`` (so no line is split), and the temporaries are sized by the chunk.
     """
-    if not raw.isascii() or b"\0" in raw:
-        return None
-    index = np.int32 if limit <= _NODE_BOUND else np.int64
     us, vs, ws = [], [], []
+    line_no = 1  # of the chunk's first line
     for chunk in _line_chunks(raw):
-        edges = _scan_chunk(chunk, limit)
-        if edges is None:
-            return None
-        us.append(edges[0].astype(index))
-        vs.append(edges[1].astype(index))
-        ws.append(edges[2])
+        u, v, w, breaks = _scan_chunk(chunk, limit, line_no)
+        line_no += breaks
+        us.append(u.astype(np.int32))
+        vs.append(v.astype(np.int32))
+        ws.append(w)
     sizes = [u.size for u in us]
     if not sum(sizes):
-        return None
+        raise EdgeListError("edge list contains no edges")
     u, v = np.concatenate(us), np.concatenate(vs)
     del us, vs
     if all(w is None for w in ws):
@@ -530,9 +483,12 @@ def _line_chunks(raw: bytes):
         start = stop
 
 
-def _scan_chunk(raw: bytes, limit: int):
-    """``_scan_edges`` on one piece of a file cut after a ``\\n``, with int64
-    ids; a piece with no edge line gives empty arrays."""
+def _scan_chunk(raw: bytes, limit: int, first_line: int):
+    """``(u, v, w)`` of the edge lines of a piece of a file cut after a
+    ``\\n``, ids in int64, and its number of line breaks; an ``EdgeListError``
+    names its first bad line, counting from ``first_line``.  Each check tests
+    whole arrays.  A failed one finds its first bad line, and the lines before
+    that one are scanned again, so that one failing a later check wins."""
     data = np.frombuffer(raw, dtype=np.uint8)
     # lines end at \n, \r\n or a lone \r, as in text mode
     breaks = np.flatnonzero(data == ord("\n"))
@@ -548,6 +504,7 @@ def _scan_chunk(raw: bytes, limit: int):
     # 0-based line of each token; a line whose first token starts with '#'
     # is a comment
     line = np.searchsorted(breaks, starts)
+    n_breaks = breaks.size
     first = np.diff(line, prepend=-1) != 0
     keep = (data[starts[first]] != ord("#"))[np.cumsum(first) - 1]
     starts, ends, line = starts[keep], ends[keep], line[keep]
@@ -556,36 +513,62 @@ def _scan_chunk(raw: bytes, limit: int):
     line_start = np.flatnonzero(np.diff(line, prepend=-1))
     width = np.diff(line_start, append=starts.size)
     if not line_start.size:
-        return np.empty(0, np.int64), np.empty(0, np.int64), None
+        return np.empty(0, np.int64), np.empty(0, np.int64), None, n_breaks
+
+    def text(k, a, b):  # edge line k from its token a to its token b
+        return raw[starts[line_start[k] + a] : ends[line_start[k] + b]].decode("utf-8", "replace")
+
+    def bad_line(k, message):  # raised by a bad line before edge line k, if any
+        _scan_chunk(raw[: starts[line_start[k]]], limit, first_line)
+        line_no = first_line + int(line[line_start[k]])
+        return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
+
     if width.min() < 2 or width.max() > 3:
-        return None
-    u, v = (
-        _decimal_ids(data, starts[line_start + col], ends[line_start + col])
-        for col in (0, 1)
-    )
-    if u is None or v is None or max(u.max(), v.max()) >= limit:
-        return None
+        k = np.argmax((width < 2) | (width > 3))
+        raise bad_line(k, f"expected 'u v [w]', got {text(k, 0, width[k] - 1)!r}")
+    u, v = (_decimal_ids(data, starts[line_start + col], ends[line_start + col]) for col in (0, 1))
+    k = min(u.size, v.size)  # the first line with an id that is not plain digits
+    if k < line_start.size:
+        if all(re.fullmatch("-?[0-9]+", text(k, col, col)) for col in (0, 1)):
+            raise bad_line(k, "node ids must be non-negative")
+        raise bad_line(k, f"node ids must be integers, got {text(k, 0, width[k] - 1)!r}")
+    if max(u.max(), v.max()) >= limit:
+        k = np.argmax((u >= limit) | (v >= limit))
+        col = 0 if u[k] >= limit else 1
+        node = text(k, col, col).lstrip("0")
+        raise bad_line(k, f"node id {node} out of range, ids must be below {limit}")
     weighted = width == 3
     if not weighted.any():
-        return u, v, None
-    token = line_start[weighted] + 2
-    given = _convert_weights(data, starts[token], ends[token])
-    if given is None or not np.isfinite(given).all() or given.min() < 0:
-        return None
+        return u, v, None, n_breaks
+    third = line_start[weighted] + 2
+    given = _convert_weights(data, starts[third], ends[third])
+    if given.size < third.size:
+        k = np.flatnonzero(weighted)[given.size]
+        raise bad_line(k, f"weight must be a number, got {text(k, 2, 2)!r}")
+    if not np.isfinite(given).all() or given.min() < 0:
+        k = np.flatnonzero(weighted)[np.argmax(~np.isfinite(given) | (given < 0))]
+        raise bad_line(k, "weight must be finite and non-negative")
     w = np.ones(line_start.size)
     w[weighted] = given
-    return u, v, w
+    return u, v, w, n_breaks
 
 
 def _decimal_ids(data, starts, ends):
-    """The tokens ``data[starts:ends]`` read as decimal integers by
-    place-value accumulation over their digit bytes, from the most
-    significant; None if a token is longer than ``_ID_WIDTH`` bytes or
-    holds a byte other than ``0-9``."""
+    """The ids of the tokens ``data[starts:ends]`` up to the first one that
+    is not plain decimal digits (the bytes ``0-9``), each accumulated over
+    its digits from the most significant.  Leading zeros do not count, and
+    an id of more than ``_ID_WIDTH`` significant digits reads as 10^18."""
     length = ends - starts
-    size = int(length.max())
+    size = int(length.max(initial=0))
     if size > _ID_WIDTH:
-        return None
+        good = _first_non_digit(data, starts, ends)
+        starts, ends = starts[:good], ends[:good]
+        # a token's last _ID_WIDTH digits are its value if only zeros are before them
+        tail = np.maximum(starts, ends - _ID_WIDTH)
+        nonzero = np.concatenate(([0], np.cumsum(data != ord("0"))))
+        ids = _decimal_ids(data, tail, ends)
+        ids[nonzero[tail] > nonzero[starts]] = 10**_ID_WIDTH
+        return ids
     ids = np.zeros(starts.size, dtype=np.int64)
     # ``back`` counts from each token's end, so the tokens stay right-aligned
     # and a token shorter than ``back`` adds a leading zero
@@ -594,28 +577,43 @@ def _decimal_ids(data, starts, ends):
         digit = data[np.where(short, starts, ends - back)] - np.uint8(ord("0"))
         digit[short] = 0
         if digit.max() > 9:  # any other byte wraps past 9 in uint8
-            return None
+            good = _first_non_digit(data, starts, ends)
+            return _decimal_ids(data, starts[:good], ends[:good])
         ids *= 10
         ids += digit
     return ids
 
 
+def _first_non_digit(data, starts, ends) -> int:
+    """The index of the first token ``data[starts:ends]`` holding a byte other
+    than ``0-9``, or the number of tokens if none does."""
+    count = np.concatenate(([0], np.cumsum(data - np.uint8(ord("0")) > 9)))
+    return int(np.append(count[ends] > count[starts], True).argmax())
+
+
 def _convert_weights(data, starts, ends):
-    """The tokens ``data[starts:ends]`` converted by numpy's cast from bytes
-    to float, which applies Python's ``float`` to each; None if a token is
-    longer than ``_WEIGHT_WIDTH`` bytes or does not convert."""
+    """The tokens ``data[starts:ends]`` up to the first one that Python's
+    ``float`` does not convert, as floats.  Unless a token is longer than
+    ``_WEIGHT_WIDTH`` bytes or one fails, numpy's cast from bytes to float
+    converts them together: it applies ``float`` but drops a trailing NUL."""
     length = ends - starts
     size = int(length.max())
-    if size > _WEIGHT_WIDTH:
-        return None
-    chars = np.zeros((starts.size, size), dtype=np.uint8)
-    for j in range(size):
-        inside = length > j
-        chars[inside, j] = data[starts[inside] + j]
-    try:
-        return chars.view(f"S{size}").ravel().astype(np.float64)
-    except ValueError:
-        return None
+    if size <= _WEIGHT_WIDTH and data[ends - 1].min() > 0:
+        chars = np.zeros((starts.size, size), dtype=np.uint8)
+        for j in range(size):
+            inside = length > j
+            chars[inside, j] = data[starts[inside] + j]
+        try:
+            return chars.view(f"S{size}").ravel().astype(np.float64)
+        except ValueError:
+            pass
+    values = []
+    for start, end in zip(starts, ends):
+        try:
+            values.append(float(data[start:end].tobytes()))
+        except ValueError:
+            break
+    return np.array(values)
 
 
 # Stored entries per chunk of ``write_edge_list``, each giving at most one

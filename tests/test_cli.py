@@ -369,6 +369,15 @@ class TestCountOptions:
         assert run("benchmark", *self.FLAT, "--z", "5", "--out", str(out)) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, monkeypatch, capsys, workers):
+        # not a silent serial run
+        monkeypatch.setenv("HIERSPECT_WORKERS", workers)
+        out = tmp_path / "r.csv"
+        assert run("benchmark", *self.FLAT, "--z", "5", "--out", str(out)) == EXIT_USAGE
+        assert "HIERSPECT_WORKERS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchmark:
     def test_flat_sweep(self, tmp_path):

@@ -1,5 +1,7 @@
 """Graph construction, Laplacians, aggregation, quotients, equitability."""
 
+import math
+import re
 import tempfile
 import time
 import tracemalloc
@@ -10,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hierspect import (
@@ -42,6 +44,13 @@ class TestGraphConstruction:
         g = Graph.from_edges([(0, 1), (1, 0)])
         assert g.adjacency[0, 1] == 2.0
         assert g.adjacency[1, 0] == 2.0
+
+    def test_weighted_duplicates_in_both_orientations_stay_symmetric(self):
+        # summed per cell, 2 + 1 + 1/3 and 1 + 1/3 + 2 round apart
+        a = Graph.from_arrays([0, 1, 1], [1, 0, 0], [2.0, 1.0, 1 / 3]).adjacency
+        assert (a != a.T).nnz == 0
+        assert a[0, 1] == a[1, 0]
+        assert a[0, 1] in (2.0 + 1.0 + 1 / 3, 1.0 + 1 / 3 + 2.0)
 
     def test_self_loop_degree(self):
         # symmetric-sum convention: a loop of weight w adds 2w to its degree
@@ -365,7 +374,8 @@ def random_edge_file(rng):
     ends = ["\n", "\r\n", "\r"]
     bad = ["0", "1 2 3 4", "x 1", "1 y", "1.5 2", "-3 1", "2 -7", "1 2 w", "1 2 inf",
            "1 2 nan", "1 2 -1e-3", "1 2 1e400", "3 4 0x1", "+3 1_0", "\u0663 1", "1\u00a02",
-           "0" * 30 + "1 2", "1 2 " + "0" * 40 + "1", "1 4" + "0" * 40, "# \u00e9", "1 2\x00"]
+           "0" * 30 + "1 2", "1 2 " + "0" * 40 + "1", "1 4" + "0" * 40, "# \u00e9", "1 2\x00",
+           "-0 1", "1 2 2\x00"]
     lines = []
     for _ in range(int(rng.integers(0, 12))):
         kind = rng.random()
@@ -401,6 +411,53 @@ def reference_write_edge_list(graph, path):
                 fh.write(f"{u} {v}\n")
             else:
                 fh.write(f"{u} {v} {w!r}\n")
+
+
+def reference_read_edge_list(raw: bytes) -> Graph:
+    """The reader as a loop over the lines of a file: the definition of the
+    graph ``read_edge_list`` builds and of the first bad line it names."""
+    n = graph_module._header_node_count(raw)
+    limit = graph_module._NODE_BOUND if n is None else n
+    us, vs, ws = [], [], []
+    lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for line_no, line in enumerate(lines, start=1):
+        parts = re.findall(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]+", line)
+        if not parts or parts[0].startswith(b"#"):
+            continue
+        text = line.strip(b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f ").decode("utf-8", "replace")
+
+        def bad(message):
+            return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
+
+        if len(parts) not in (2, 3):
+            raise bad(f"expected 'u v [w]', got {text!r}")
+        if not all(re.fullmatch(rb"-?[0-9]+", token) for token in parts[:2]):
+            raise bad(f"node ids must be integers, got {text!r}")
+        if any(token.startswith(b"-") for token in parts[:2]):
+            raise bad("node ids must be non-negative")
+        ids = []
+        for token in parts[:2]:
+            digits = token.lstrip(b"0") or b"0"  # any number of leading zeros
+            if len(digits) > 18 or int(digits) >= limit:
+                raise bad(f"node id {digits.decode()} out of range, ids must be below {limit}")
+            ids.append(int(digits))
+        w = 1.0
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise bad(f"weight must be a number, got {parts[2].decode('utf-8', 'replace')!r}")
+            if not math.isfinite(w) or w < 0:
+                raise bad("weight must be finite and non-negative")
+        us.append(ids[0])
+        vs.append(ids[1])
+        ws.append(w)
+    if not us:
+        raise EdgeListError("edge list contains no edges")
+    try:
+        return Graph.from_arrays(np.array(us), np.array(vs), np.array(ws), n=n)
+    except ValueError as exc:
+        raise EdgeListError(str(exc)) from exc
 
 
 WRITER_WEIGHTS = [1.0, 2.0, 0.5, 1 / 3, 1e-300]
@@ -490,34 +547,39 @@ def csr_bytes(graph):
     return graph.n, *(x.tobytes() for x in (a.indptr, a.indices, a.data, graph.degrees))
 
 
-def line_reader_graph(raw):
-    return Graph.from_arrays(*graph_module._read_lines(raw, graph_module._NODE_BOUND))
+def outcome(read, source):
+    """``csr_bytes`` of the graph read, or the error's message and line."""
+    try:
+        return csr_bytes(read(source))
+    except EdgeListError as exc:
+        return str(exc), exc.line_no
+
+
+def read_bytes(raw: bytes) -> Graph:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(raw)
+        return read_edge_list(path)
 
 
 class TestChunkedReader:
-    """The array reader scans a file in chunks cut just after a newline; a
-    chunk size of a few bytes puts about one line in each chunk."""
+    """The reader scans a file in chunks cut just after a newline; a chunk
+    size of a few bytes puts about one line in each chunk."""
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_same_graph_as_line_reader(self, tmp_path, chunk):
+        # the line reader is reference_read_edge_list
         rng = np.random.default_rng(26)
         path = tmp_path / "edges.tsv"
-        scanned = 0
+        valid = 0
         for _ in range(300):
             raw = random_edge_file(rng)
             path.write_bytes(raw)
+            expected = outcome(reference_read_edge_list, raw)
             with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
-                try:
-                    expected = line_reader_graph(raw)
-                except EdgeListError as exc:
-                    with pytest.raises(EdgeListError) as got:
-                        read_edge_list(path)
-                    assert (str(got.value), got.value.line_no) == (str(exc), exc.line_no)
-                    continue
-                scanned += graph_module._scan_edges(raw, graph_module._NODE_BOUND) is not None
-                assert csr_bytes(read_edge_list(path)) == csr_bytes(expected)
-        # most valid files took the chunked array path
-        assert scanned > 120, scanned
+                assert outcome(read_edge_list, path) == expected
+            valid += isinstance(expected[0], int)
+        assert valid > 120, valid
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     @pytest.mark.parametrize(
@@ -538,11 +600,29 @@ class TestChunkedReader:
             got = read_edge_list(path)
         # ids below 2^31 are kept as int32
         assert u.dtype == v.dtype == np.int32
-        n = graph_module._header_node_count(content)
-        expected = Graph.from_arrays(
-            *graph_module._read_lines(content, graph_module._NODE_BOUND), n=n
-        )
-        assert csr_bytes(got) == csr_bytes(expected)
+        assert csr_bytes(got) == csr_bytes(reference_read_edge_list(content))
+
+    @settings(max_examples=150, deadline=None)
+    @example(
+        graph=Graph.from_arrays([0, 1, 1], [1, 0, 0], [2.0, 1.0, 1 / 3]), write_chunk=1, read_chunk=1
+    )
+    @given(
+        graph=writer_graphs(),
+        write_chunk=st.sampled_from([1, 3, 16]),
+        read_chunk=st.sampled_from([1, 5, 64]),
+    )
+    def test_written_files_read_back(self, graph, write_chunk, read_chunk):
+        # the files generate writes, duplicate weighted edges included, read
+        # back as the graph's canonical CSR
+        with mock.patch.object(graph_module, "_WRITE_CHUNK", write_chunk):
+            raw = written_bytes(write_edge_list, graph)
+        with mock.patch.object(graph_module, "_READ_CHUNK", read_chunk):
+            if not graph.adjacency.nnz:
+                with pytest.raises(EdgeListError, match="no edges"):
+                    read_bytes(raw)
+                return
+            got = read_bytes(raw)
+        assert csr_bytes(got) == csr_bytes(Graph._from_csr(graph.adjacency.sorted_indices()))
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_malformed_line_in_later_chunk(self, tmp_path, chunk):
@@ -590,81 +670,59 @@ class TestChunkedReader:
 
 
 class TestEdgeListIO:
-    def test_array_reader_matches_line_reader(self):
-        # _read_lines defines the format; the array reader must give the
-        # same arrays on every file it accepts
+    def test_array_reader_matches_line_reader(self, tmp_path):
+        # reference_read_edge_list defines the format: read_edge_list builds
+        # the same graph, or names the same first bad line
         rng = np.random.default_rng(20)
+        path = tmp_path / "edges.tsv"
         outcomes = set()
-        scanned = 0
         for _ in range(400):
             raw = random_edge_file(rng)
-            try:
-                u, v, w = graph_module._read_lines(raw, graph_module._NODE_BOUND)
-            except EdgeListError as exc:
-                assert graph_module._scan_edges(raw, graph_module._NODE_BOUND) is None
-                outcomes.add(str(exc).split(": ")[-1][:20])
-                continue
-            outcomes.add("ok")
-            edges = graph_module._scan_edges(raw, graph_module._NODE_BOUND)
-            if edges is None:
-                continue
-            scanned += 1
-            np.testing.assert_array_equal(edges[0], u)
-            np.testing.assert_array_equal(edges[1], v)
-            np.testing.assert_array_equal(np.ones_like(w) if edges[2] is None else edges[2], w)
-        # every kind of outcome came up, and most valid files took the array path
+            path.write_bytes(raw)
+            expected = outcome(reference_read_edge_list, raw)
+            assert outcome(read_edge_list, path) == expected
+            valid = isinstance(expected[0], int)
+            outcomes.add("ok" if valid else expected[0].split(": ")[-1][:20])
+        # every kind of outcome came up
         assert len(outcomes) == 8, outcomes
-        assert scanned > 150, scanned
 
     def test_long_token_in_large_file(self, tmp_path):
-        # one 100 kB id among 200,000 lines is read in time linear in the file
+        # one 100 kB zero-padded id among 200,000 lines reads as its value,
+        # in time linear in the file
         path = tmp_path / "edges.tsv"
         path.write_bytes(b"0 1\n" * 100_000 + b"0" * 100_000 + b"7 1\n" + b"1 2\n" * 100_000)
         start = time.perf_counter()
-        with pytest.raises(EdgeListError) as exc:
-            read_edge_list(path)
-        assert time.perf_counter() - start < 20
-        assert str(exc.value).startswith("line 100001: node ids must be integers, got '000")
-        assert exc.value.line_no == 100_001
-
-    @pytest.mark.parametrize(
-        "content, edges",
-        [
-            pytest.param(b"+3 1\n4 5\n", [(3, 1), (4, 5)], id="plus-sign"),
-            pytest.param(b"4 5\n3 1_0\n", [(4, 5), (3, 10)], id="underscore"),
-            pytest.param(b"+3 1_0 2.5\n", [(3, 10, 2.5)], id="both-weighted"),
-        ],
-    )
-    def test_non_digit_ids_take_line_reader(self, tmp_path, content, edges):
-        assert graph_module._scan_edges(content, graph_module._NODE_BOUND) is None
-        path = tmp_path / "edges.tsv"
-        path.write_bytes(content)
         g = read_edge_list(path)
-        expected = Graph.from_edges(edges)
-        assert g.n == expected.n
-        assert (g.adjacency != expected.adjacency).nnz == 0
+        assert time.perf_counter() - start < 20
+        assert g.n == 8
+        assert g.adjacency[7, 1] == g.adjacency[1, 7] == 1.0
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
             st.tuples(
-                st.one_of(st.integers(0, 99), st.integers(10**17, 10**18 - 1)),
-                st.integers(min_value=1, max_value=18),
+                st.one_of(
+                    st.integers(0, 99), st.integers(10**17, 10**18 - 1), st.integers(10**18, 10**30)
+                ),
+                st.integers(min_value=1, max_value=40),
             ),
             min_size=2,
             max_size=40,
         )
     )
     def test_accumulated_ids_equal_python_int(self, ids):
-        # 18-digit ids, and ids zero-padded up to 18 bytes
+        # 18-digit ids, ids zero-padded past 18 bytes, and ids of more
+        # significant digits, which read as 10^18
         tokens = [str(value).zfill(width) for value, width in ids]
+        data = np.frombuffer(" ".join(tokens).encode(), dtype=np.uint8)
+        ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+        starts = ends - np.array([len(t) for t in tokens])
+        got = graph_module._decimal_ids(data, starts, ends)
+        assert got.tolist() == [min(int(t), 10**18) for t in tokens]
         if len(tokens) % 2:
             tokens.pop()
         raw = "".join(f"{a} {b}\n" for a, b in zip(tokens[::2], tokens[1::2])).encode()
-        u, v, w = graph_module._scan_edges(raw, 10**18)
-        assert u.tolist() == [int(t) for t in tokens[::2]]
-        assert v.tolist() == [int(t) for t in tokens[1::2]]
-        assert w is None
+        assert outcome(read_bytes, raw) == outcome(reference_read_edge_list, raw)
 
     def test_roundtrip(self, tmp_path):
         g = Graph.from_edges([(0, 1, 0.5), (1, 2), (3, 3, 1.5)])
@@ -732,11 +790,8 @@ class TestEdgeListIO:
             ),
             pytest.param(b"0 0\n0 1\n2 2 1.5\n", [(0, 0), (0, 1), (2, 2, 1.5)], id="self-loops"),
             pytest.param(b"007 3 1e-1\n", [(7, 3, 0.1)], id="leading-zeros"),
-            pytest.param(
-                "+3 1_0 2_5.0\n\u0663 1\n# caf\u00e9\n4\u00a05\n".encode(),
-                [(3, 10, 25.0), (3, 1), (4, 5)],
-                id="python-int-forms",
-            ),
+            pytest.param(b"0" * 5000 + b"7 3\n", [(7, 3)], id="zero-padded-past-int-digit-limit"),
+            pytest.param("# caf\u00e9\n0 1 2_5.0\n".encode(), [(0, 1, 25.0)], id="python-float-weight"),
         ],
     )
     def test_valid_files(self, tmp_path, content, edges):
@@ -789,6 +844,45 @@ class TestEdgeListIO:
                 b"0 1\n2 3000000000\n", "line 2: node id 3000000000 out of range, "
                 "ids must be below 2147483648", 2, id="id-past-bound",
             ),
+            # more than 18 significant digits, also past the interpreter's
+            # limit on the digits of an int
+            pytest.param(
+                b"0 1\n" + b"0" * 30 + b"1" * 19 + b" 2\n",
+                f"line 2: node id {'1' * 19} out of range, ids must be below 2147483648", 2,
+                id="19-significant-digits",
+            ),
+            pytest.param(
+                b"9" * 5000 + b" 1\n",
+                f"line 1: node id {'9' * 5000} out of range, ids must be below 2147483648", 1,
+                id="id-past-int-digit-limit",
+            ),
+            # spellings that Python's int, float or str.split read
+            pytest.param(b"+3 1\n4 5\n", "line 1: node ids must be integers, got '+3 1'", 1, id="plus-sign"),
+            pytest.param(b"4 5\n3 1_0\n", "line 2: node ids must be integers, got '3 1_0'", 2, id="underscore"),
+            pytest.param(
+                b"+3 1_0 2.5\n", "line 1: node ids must be integers, got '+3 1_0 2.5'", 1,
+                id="both-weighted",
+            ),
+            pytest.param(
+                "+3 1_0 2_5.0\n\u0663 1\n# caf\u00e9\n4\u00a05\n".encode(),
+                "line 1: node ids must be integers, got '+3 1_0 2_5.0'", 1, id="python-int-forms",
+            ),
+            pytest.param(
+                "0 1\n\u0663 1\n".encode(), "line 2: node ids must be integers, got '\u0663 1'", 2,
+                id="non-ascii-digit",
+            ),
+            pytest.param(
+                "0 1\n4\u00a05\n".encode(), "line 2: expected 'u v [w]', got '4\\xa05'", 2,
+                id="non-ascii-space",
+            ),
+            pytest.param(b"0 1\n-0 1\n", "line 2: node ids must be non-negative", 2, id="minus-zero"),
+            pytest.param(
+                b"0 1 2\x00\n", "line 1: weight must be a number, got '2\\x00'", 1, id="nul-in-weight"
+            ),
+            pytest.param(
+                "0 1 2\u00e9\n".encode(), "line 1: weight must be a number, got '2\u00e9'", 1,
+                id="non-ascii-weight",
+            ),
         ],
     )
     def test_malformed_files(self, tmp_path, content, message, line_no):
@@ -798,3 +892,4 @@ class TestEdgeListIO:
             read_edge_list(path)
         assert str(exc.value) == message
         assert exc.value.line_no == line_no
+        assert outcome(reference_read_edge_list, content) == (message, line_no)
