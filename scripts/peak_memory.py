@@ -11,8 +11,10 @@ One process, with BLAS at one thread as in ``perfbench/run.py``, runs
 ``hierspect generate`` with the given options (and ``--seed``) into a
 temporary directory, ``read_edge_list`` of the edge list it wrote, and
 ``hierspect detect`` of that file (``--seed`` is ``--detect-seed``).
-During the detect, ``bethe_hessian``, ``eigs_symmetric`` and
-``estimate_affinity`` are wrapped at the bindings their callers use.
+During the detect, ``bethe_hessian``, ``eigs_symmetric``,
+``estimate_affinity`` and ``identify_partitions_and_errors`` are wrapped at
+the bindings their callers use.  The last prints one ``identify k=<k>`` line
+per level: stage three's peak, which holds its ``(k - 2, k, k)`` Gram sums.
 
 Each line names a step and prints two numbers: the tracemalloc peak
 during the step, in MB of traced allocations (what the process already
@@ -110,6 +112,7 @@ def main(argv=None) -> int:
     meter.wrap(spectral, "eigs_symmetric", lambda _matrix, m, **_: f"eigs m={m} {sign['tag']}")
     meter.wrap(hierarchy, "estimate_affinity",
                lambda _graph, partition: f"estimate_affinity k={partition.k}")
+    meter.wrap(hierarchy, "identify_partitions_and_errors", lambda omega: f"identify k={omega.k}")
 
     def run_cli(argv):
         code = cli.main(argv)

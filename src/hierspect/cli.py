@@ -81,6 +81,10 @@ def _resolve_snr(text: str, avg_degree: float) -> float:
 
 
 def _build_spec(model, n, groups, group_size, schedule, snr, avg_degree, seed) -> SynthSpec:
+    if model != "flat" and (groups is not None or group_size is not None):
+        raise click.UsageError("--groups and --group-size apply to the flat model only")
+    if groups is not None and schedule is not None:
+        raise click.UsageError("give either --groups or --schedule, not both")
     if model == "flat" and groups is not None:
         schedule_t = (groups,)
     else:

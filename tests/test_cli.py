@@ -75,6 +75,26 @@ class TestGenerate:
         assert code == EXIT_USAGE
         assert "maximum feasible snr" in capsys.readouterr().err
 
+    def test_flat_only_options_with_other_model_is_usage_error(self, tmp_path, capsys):
+        code = run(
+            "generate", "--model", "symmetric", "--n", "729", "--schedule", "3,9,27",
+            "--avg-degree", "30", "--groups", "5", "--group-size", "7",
+            "--edges", str(tmp_path / "e.tsv"), "--truth", str(tmp_path / "t.json"),
+        )
+        assert code == EXIT_USAGE
+        assert "flat model only" in capsys.readouterr().err
+        assert not (tmp_path / "e.tsv").exists()
+
+    def test_groups_with_schedule_is_usage_error(self, tmp_path, capsys):
+        code = run(
+            "generate", "--model", "flat", "--n", "40", "--groups", "4",
+            "--schedule", "10", "--edges", str(tmp_path / "e.tsv"),
+            "--truth", str(tmp_path / "t.json"),
+        )
+        assert code == EXIT_USAGE
+        assert "--groups or --schedule" in capsys.readouterr().err
+        assert not (tmp_path / "e.tsv").exists()
+
 
 class TestDetect:
     def test_detect_flat(self, flat_files, tmp_path):

@@ -1,6 +1,7 @@
 """Expected projection errors, perturbations, MSLE selection, hierarchy assembly."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,10 +245,15 @@ class TestFitMsle:
         assert s2 > s1
 
     def test_all_zero_curve_unidentifiable(self):
-        curve = null_curve(2)
-        fit = fit_msle(np.array([0.0, 0.5]), curve)
-        assert fit.sigma == 1.0
-        assert not fit.identifiable
+        # every sigma fits a zero curve equally, all-zero errors included
+        for errors, curve in [
+            (np.array([0.0, 0.5]), null_curve(2)),
+            (np.zeros(2), null_curve(2)),
+            (np.zeros(5), np.zeros(5)),
+        ]:
+            fit = fit_msle(errors, curve)
+            assert fit.sigma == 1.0
+            assert not fit.identifiable
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -365,9 +371,14 @@ class TestIdentifyPartitionsAndErrors:
 
     @pytest.mark.parametrize(
         "k, z",
-        # k = 200 decomposes one draw per block; z = 17 gathers a full
-        # GATHER_DRAWS batch and then one more draw
-        [*itertools.product([3, 8, 27, 64], [1, 17, 100]), (200, 2), (200, 17)],
+        # from k = 65 a block holds MIN_BLOCK_DRAWS draws: z = 17 fills one
+        # block and leaves one draw for the next
+        [
+            *itertools.product([3, 8, 27, 64], [1, 17, 100]),
+            (100, 17),
+            (200, 2),
+            (200, 17),
+        ],
     )
     def test_blocked_scoring_matches_reference_loop(self, k, z, monkeypatch):
         rng = np.random.default_rng(100 * k + z)
@@ -387,7 +398,7 @@ class TestIdentifyPartitionsAndErrors:
         cands = identify_partitions_and_errors(omega, z=z, seed=5)
         monkeypatch.undo()
         matrices, errors = self._reference_loop(omega, cands.partitions, z, seed=5)
-        block = max(1, hierarchy.BLOCK_ENTRIES // k**2)
+        block = max(hierarchy.MIN_BLOCK_DRAWS, hierarchy.BLOCK_ENTRIES // k**2)
         assert [len(s) for s in stacks] == [
             min(block, z - start) for start in range(0, z, block)
         ]
@@ -398,6 +409,30 @@ class TestIdentifyPartitionsAndErrors:
             cands.mean_errors, errors, rtol=1e-12, atol=1e-12 * errors.max()
         )
         assert cands.mean_errors[-1] == 0.0
+
+    def test_one_gram_sized_buffer(self, monkeypatch):
+        # the (k - 2, k, k) Gram sums are the one k**3 buffer: a second one
+        # would take the peak to twice their size.  Stage two's candidates
+        # stand in as round-robin labels, which keeps tracemalloc's cost per
+        # allocation off its many small arrays.
+        monkeypatch.setattr(
+            hierarchy,
+            "best_eep_partition",
+            lambda vectors, r: Partition.from_labels(np.arange(len(vectors)) % r),
+        )
+        k = 200
+        rng = np.random.default_rng(k)
+        values = rng.random((k, k))
+        omega = AffinityMatrix(
+            values=(values + values.T) / 2, group_sizes=rng.integers(5, 60, size=k)
+        )
+        tracemalloc.start()
+        try:
+            identify_partitions_and_errors(omega, z=17, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / ((k - 2) * k**2 * 8) < 1.75
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -429,7 +464,7 @@ class TestIdentifyPartitionsAndErrors:
         # the single-group error: the constant vector of each block's draws,
         # scored by one projection_error call per block
         single = 0.0
-        block = max(1, hierarchy.BLOCK_ENTRIES // k**2)
+        block = max(hierarchy.MIN_BLOCK_DRAWS, hierarchy.BLOCK_ENTRIES // k**2)
         for start in range(0, z, block):
             seeds = [
                 substream_seed(data_seed, "sample", zeta)
