@@ -158,7 +158,8 @@ def cmd_generate(model, n, groups, group_size, schedule, snr, avg_degree, seed,
 
 
 @cli.command("detect")
-@click.option("--edges", "edges_path", type=click.Path(), required=True)
+@click.option("--edges", "edges_path", type=click.Path(), required=True,
+              help="Edge list of 'u v' lines; a pair listed again is one edge.")
 @click.option("--out", "out_path", type=click.Path(), default="hierarchy.json", show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--z", type=click.IntRange(min=1), default=100, show_default=True,
@@ -319,3 +320,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

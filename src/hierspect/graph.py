@@ -12,6 +12,10 @@ Conventions
   weight ``w`` therefore stores ``2w`` on the diagonal and contributes
   ``2w`` to its node's degree (symmetric-sum convention).
 * Degrees are weighted row sums of the adjacency, ``d = A @ 1``.
+* The edge-list format holds the simple unweighted graphs that ``detect``
+  models: ``u v`` lines, a pair listed more than once is one edge of
+  weight 1, and a self-loop stores 2.  ``Graph`` itself takes weights,
+  which the partition algebra uses.
 """
 
 from __future__ import annotations
@@ -400,37 +404,38 @@ _NODE_BOUND = 2**31
 # Ids accumulate in int64 from at most 18 significant digits; one with more
 # reads as 10^18, above every node bound.
 _ID_WIDTH = 18
-# Weight tokens up to this many bytes are cast together in one byte matrix.
-_WEIGHT_WIDTH = 32
 # Bytes per chunk of the reader: its temporaries take a few times this, not
 # a few times the file.
 _READ_CHUNK = 2**20
 
 
 def read_edge_list(path) -> Graph:
-    """Read a graph from a text edge list.
+    """Read the simple unweighted graph that a text edge list lists.
 
-    One edge per line, ``u v [w]``: tokens separated by ASCII whitespace,
+    One edge per line, ``u v``: two tokens separated by ASCII whitespace,
     lines ending at ``\\n``, ``\\r\\n`` or a lone ``\\r``, blank lines and
     lines whose first token starts with ``#`` ignored.  An id is ASCII
     decimal digits; leading zeros do not count, and an id of more than 18
-    significant digits is out of range.  A weight is what numpy's cast from
-    bytes to float (Python's ``float``) reads, finite and non-negative, with
-    no NUL or non-ASCII byte.  A first line ``# n=<N>``, as
-    ``write_edge_list`` writes, sets the node count (else it is the largest
-    id plus one).  Ids and ``N`` must be below 2^31.  An ``EdgeListError``
-    names the first line that breaks these rules, or says that the weighted
-    degrees overflow.
+    significant digits is out of range.  A pair listed more than once, in
+    either order, is one edge of weight 1, and a self-loop stores 2 on the
+    diagonal.  A first line ``# n=<N>``, as ``write_edge_list`` writes, sets
+    the node count (else it is the largest id plus one).  Ids and ``N`` must
+    be below 2^31.  An ``EdgeListError`` names the first line that breaks
+    these rules; a third token on a line is one.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     n = _header_node_count(raw)
-    edges = _scan_edges(raw, _NODE_BOUND if n is None else n)
+    u, v = _scan_edges(raw, _NODE_BOUND if n is None else n)
     del raw  # freed before the graph's own arrays are built
-    try:
-        return Graph.from_arrays(*edges, n=n)
-    except ValueError as exc:
-        raise EdgeListError(str(exc)) from exc
+    graph = Graph.from_arrays(u, v, n=n)
+    # without a repeated pair each line stores two entries and a loop one
+    if graph.adjacency.nnz == 2 * u.size - np.count_nonzero(u == v):
+        return graph
+    n = graph.n
+    del graph  # freed before the graph of the distinct pairs is built
+    pairs = np.unique(np.minimum(u, v).astype(np.int64) * n + np.maximum(u, v))
+    return Graph.from_arrays(pairs // n, pairs % n, n=n)
 
 
 def _header_node_count(raw: bytes) -> int | None:
@@ -445,27 +450,22 @@ def _header_node_count(raw: bytes) -> int | None:
 
 
 def _scan_edges(raw: bytes, limit: int):
-    """``(u, v, w)`` arrays of a file's edge lines, ids below ``limit`` (at
-    most 2^31) as int32 and ``w`` None when no line has a weight.  The file is
-    scanned in chunks of about ``_READ_CHUNK`` bytes, each cut just after a
-    ``\\n`` (so no line is split), and the temporaries are sized by the chunk.
+    """``(u, v)`` arrays of a file's edge lines, one entry per line in file
+    order, repeats kept, ids below ``limit`` (at most 2^31) as int32.  The
+    file is scanned in chunks of about ``_READ_CHUNK`` bytes, each cut just
+    after a ``\\n`` (so no line is split), and the temporaries are sized by
+    the chunk.
     """
-    us, vs, ws = [], [], []
+    us, vs = [], []
     line_no = 1  # of the chunk's first line
     for chunk in _line_chunks(raw):
-        u, v, w, breaks = _scan_chunk(chunk, limit, line_no)
+        u, v, breaks = _scan_chunk(chunk, limit, line_no)
         line_no += breaks
         us.append(u.astype(np.int32))
         vs.append(v.astype(np.int32))
-        ws.append(w)
-    sizes = [u.size for u in us]
-    if not sum(sizes):
+    if not sum(u.size for u in us):
         raise EdgeListError("edge list contains no edges")
-    u, v = np.concatenate(us), np.concatenate(vs)
-    del us, vs
-    if all(w is None for w in ws):
-        return u, v, None
-    return u, v, np.concatenate([np.ones(size) if w is None else w for w, size in zip(ws, sizes)])
+    return np.concatenate(us), np.concatenate(vs)
 
 
 def _line_chunks(raw: bytes):
@@ -484,7 +484,7 @@ def _line_chunks(raw: bytes):
 
 
 def _scan_chunk(raw: bytes, limit: int, first_line: int):
-    """``(u, v, w)`` of the edge lines of a piece of a file cut after a
+    """``(u, v)`` of the edge lines of a piece of a file cut after a
     ``\\n``, ids in int64, and its number of line breaks; an ``EdgeListError``
     names its first bad line, counting from ``first_line``.  Each check tests
     whole arrays.  A failed one finds its first bad line, and the lines before
@@ -513,7 +513,7 @@ def _scan_chunk(raw: bytes, limit: int, first_line: int):
     line_start = np.flatnonzero(np.diff(line, prepend=-1))
     width = np.diff(line_start, append=starts.size)
     if not line_start.size:
-        return np.empty(0, np.int64), np.empty(0, np.int64), None, n_breaks
+        return np.empty(0, np.int64), np.empty(0, np.int64), n_breaks
 
     def text(k, a, b):  # edge line k from its token a to its token b
         return raw[starts[line_start[k] + a] : ends[line_start[k] + b]].decode("utf-8", "replace")
@@ -523,9 +523,9 @@ def _scan_chunk(raw: bytes, limit: int, first_line: int):
         line_no = first_line + int(line[line_start[k]])
         return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
 
-    if width.min() < 2 or width.max() > 3:
-        k = np.argmax((width < 2) | (width > 3))
-        raise bad_line(k, f"expected 'u v [w]', got {text(k, 0, width[k] - 1)!r}")
+    if (width != 2).any():
+        k = np.argmax(width != 2)
+        raise bad_line(k, f"expected 'u v', got {text(k, 0, width[k] - 1)!r}")
     u, v = (_decimal_ids(data, starts[line_start + col], ends[line_start + col]) for col in (0, 1))
     k = min(u.size, v.size)  # the first line with an id that is not plain digits
     if k < line_start.size:
@@ -537,20 +537,7 @@ def _scan_chunk(raw: bytes, limit: int, first_line: int):
         col = 0 if u[k] >= limit else 1
         node = text(k, col, col).lstrip("0")
         raise bad_line(k, f"node id {node} out of range, ids must be below {limit}")
-    weighted = width == 3
-    if not weighted.any():
-        return u, v, None, n_breaks
-    third = line_start[weighted] + 2
-    given = _convert_weights(data, starts[third], ends[third])
-    if given.size < third.size:
-        k = np.flatnonzero(weighted)[given.size]
-        raise bad_line(k, f"weight must be a number, got {text(k, 2, 2)!r}")
-    if not np.isfinite(given).all() or given.min() < 0:
-        k = np.flatnonzero(weighted)[np.argmax(~np.isfinite(given) | (given < 0))]
-        raise bad_line(k, "weight must be finite and non-negative")
-    w = np.ones(line_start.size)
-    w[weighted] = given
-    return u, v, w, n_breaks
+    return u, v, n_breaks
 
 
 def _decimal_ids(data, starts, ends):
@@ -591,50 +578,30 @@ def _first_non_digit(data, starts, ends) -> int:
     return int(np.append(count[ends] > count[starts], True).argmax())
 
 
-def _convert_weights(data, starts, ends):
-    """The tokens ``data[starts:ends]`` up to the first one that Python's
-    ``float`` does not convert, as floats.  Unless a token is longer than
-    ``_WEIGHT_WIDTH`` bytes or one fails, numpy's cast from bytes to float
-    converts them together: it applies ``float`` but drops a trailing NUL."""
-    length = ends - starts
-    size = int(length.max())
-    if size <= _WEIGHT_WIDTH and data[ends - 1].min() > 0:
-        chars = np.zeros((starts.size, size), dtype=np.uint8)
-        for j in range(size):
-            inside = length > j
-            chars[inside, j] = data[starts[inside] + j]
-        try:
-            return chars.view(f"S{size}").ravel().astype(np.float64)
-        except ValueError:
-            pass
-    values = []
-    for start, end in zip(starts, ends):
-        try:
-            values.append(float(data[start:end].tobytes()))
-        except ValueError:
-            break
-    return np.array(values)
-
-
 # Stored entries per chunk of ``write_edge_list``, each giving at most one
 # line: its arrays are sized by the chunk, not by the graph.
 _WRITE_CHUNK = 2**16
 
 
 def write_edge_list(graph: Graph, path) -> None:
-    """Write the graph as a text edge list that ``read_edge_list`` reads back.
+    """Write a unit-weight graph as a text edge list that ``read_edge_list``
+    reads back.
 
-    The first line is ``# n=<N>``.  Then each stored entry ``(u, v, w)`` of
-    the upper triangle (``v >= u``) of the CSR adjacency gives one line, in
-    storage order: ``u v`` when its weight is 1 and ``u v <repr(w)>``
-    otherwise, where a self-loop's weight is half its stored diagonal entry
-    (the graph stores a loop twice).  Every line ends in a newline.
+    The first line is ``# n=<N>``.  Then each stored entry ``(u, v)`` of the
+    upper triangle (``v >= u``) of the CSR adjacency gives one line ``u v``,
+    in storage order; every line ends in a newline.  A graph with any other
+    weight than 1 per edge (a self-loop stores 2) raises ``ValueError``
+    before the file is opened, because the format cannot hold it.
 
-    The stored entries are taken ``_WRITE_CHUNK`` at a time.  A chunk's ids
-    become rows of ASCII digits in one byte matrix, and only the lines whose
-    weight is not 1 format their weight one by one.
+    The stored entries are taken ``_WRITE_CHUNK`` at a time, and a chunk's
+    ids become rows of ASCII digits in one byte matrix.
     """
     adjacency = graph.adjacency
+    diagonal = adjacency.diagonal()
+    # unit weights store 1 off the diagonal and 2 (a loop counted twice) on it
+    units = np.count_nonzero(adjacency.data == 1) + np.count_nonzero(diagonal == 2)
+    if units != adjacency.nnz or (diagonal == 1).any():
+        raise ValueError("an edge list holds unit weights only")
     indptr, indices = adjacency.indptr, adjacency.indices
     with open(path, "wb") as fh:
         fh.write(f"# n={graph.n}\n".encode())
@@ -643,24 +610,16 @@ def write_edge_list(graph: Graph, path) -> None:
             rows = np.searchsorted(indptr, np.arange(start, stop), side="right") - 1
             cols = indices[start:stop]
             upper = cols >= rows
-            fh.write(_edge_lines(rows[upper], cols[upper], adjacency.data[start:stop][upper]))
+            fh.write(_edge_lines(rows[upper], cols[upper]))
 
 
-def _edge_lines(u, v, w) -> bytes:
-    """The edge-list lines of the upper-triangle entries ``(u, v, w)``."""
-    w = np.asarray(w, dtype=np.float64)
-    w = np.where(u == v, w / 2.0, w)  # stored diagonal is twice the loop weight
-    odd = np.flatnonzero(w != 1.0)
-    # one row per line: u's digits, a space, v's digits, the weight and a
-    # newline, padded with zero bytes that are dropped on output
-    parts = [_digit_rows(u), np.full((u.size, 1), ord(" "), np.uint8), _digit_rows(v)]
-    if odd.size:
-        weights = np.array([f" {x!r}".encode() for x in w[odd].tolist()])
-        suffix = np.zeros((u.size, weights.itemsize), dtype=np.uint8)
-        suffix[odd] = weights.view(np.uint8).reshape(odd.size, -1)
-        parts.append(suffix)
-    parts.append(np.full((u.size, 1), ord("\n"), np.uint8))
-    lines = np.hstack(parts)
+def _edge_lines(u, v) -> bytes:
+    """The edge-list lines ``u v`` of the upper-triangle entries ``(u, v)``."""
+    # one row per line: u's digits, a space, v's digits and a newline, padded
+    # with zero bytes that are dropped on output
+    space = np.full((u.size, 1), ord(" "), np.uint8)
+    newline = np.full((u.size, 1), ord("\n"), np.uint8)
+    lines = np.hstack([_digit_rows(u), space, _digit_rows(v), newline])
     return lines[lines != 0].tobytes()
 
 

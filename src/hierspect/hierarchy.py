@@ -417,6 +417,10 @@ def infer_hierarchy(graph: Graph, seed: int = 0, z: int = 100) -> HierarchyResul
     size accepted by the null-curve significance test; the loop stops when
     no size is accepted.  ``z`` bootstrap perturbations score each level's
     candidates.  Deterministic for fixed seed and input.
+
+    The model is the unweighted stochastic block model, so the graph's
+    weights are read as edge multiplicities: a weighted graph is not scaled
+    out, and multiplying every weight by one factor can change the levels.
     """
     bethe = cluster_bethe_hessian(graph, seed=substream_seed(seed, "bethe"))
     finest = bethe.partition

@@ -3,6 +3,10 @@
 import copy
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -60,6 +64,20 @@ class TestGenerate:
         doc = json.loads((tmp_path / "t.json").read_text())
         assert [level["k"] for level in doc["levels"]] == [27, 9, 3]
         assert "omega_fine" in doc
+
+    def test_module_runs_the_command_line(self, tmp_path):
+        # python -m hierspect.cli runs the commands as the installed script does
+        src = str(Path(hierspect.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        edges, truth = tmp_path / "e.tsv", tmp_path / "t.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "hierspect.cli", "generate", "--model", "flat", "--groups", "4",
+             "--group-size", "10", "--edges", str(edges), "--truth", str(truth)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert edges.exists() and truth.exists()
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run("generate") == EXIT_USAGE
@@ -125,18 +143,32 @@ class TestDetect:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("detect", "--edges", str(tmp_path / "absent.tsv")) == EXIT_DATA
 
-    def test_degree_overflow_is_data_error(self, tmp_path, capsys):
-        # finite weights whose sum at node 1 overflows to inf
-        edges = tmp_path / "huge.tsv"
-        edges.write_text("0 1 1e308\n1 2 1e308\n")
+    def test_third_token_is_data_error(self, tmp_path, capsys):
+        # the format has no weight column
+        edges = tmp_path / "weighted.tsv"
+        edges.write_text("0 1\n1 2 1e308\n")
         assert run("detect", "--edges", str(edges)) == EXIT_DATA
-        assert "error: node degrees and their total must be finite" in capsys.readouterr().err
+        assert "error: line 2: expected 'u v', got '1 2 1e308'" in capsys.readouterr().err
 
-    def test_zero_weight_edges_are_numerical_error(self, tmp_path, capsys):
-        edges = tmp_path / "zero.tsv"
-        edges.write_text("0 1 0\n1 2 0\n")
-        assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
-        assert "error: graph has no edges" in capsys.readouterr().err
+    def test_both_orientations_give_same_output(self, tmp_path):
+        # a file that lists each edge in both orientations is the same
+        # graph as one that lists it once
+        edges, both = tmp_path / "e.tsv", tmp_path / "both.tsv"
+        code = run(
+            "generate", "--model", "disassortative", "--n", "512", "--schedule", "2,4,8",
+            "--avg-degree", "20", "--snr", "8", "--seed", "0",
+            "--edges", str(edges), "--truth", str(tmp_path / "t.json"),
+        )
+        assert code == EXIT_OK
+        header, *lines = edges.read_text().splitlines()
+        swapped = [" ".join(line.split()[::-1]) for line in lines]
+        both.write_text("\n".join([header, *lines, *swapped]) + "\n")
+        outputs = []
+        for path in (edges, both):
+            out = tmp_path / f"{path.stem}.json"
+            assert run("detect", "--edges", str(path), "--out", str(out), "--seed", "7") == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_eigensolver_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch):
         alpha, beta = solve_planted_params(4, 20.0, 6.0)
@@ -154,15 +186,6 @@ class TestDetect:
         assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "error: eigensolver did not converge (8 pairs requested, 0 available)" in err
-
-    def test_overflowing_operator_is_numerical_error(self, tmp_path, capsys):
-        # finite weights and degrees, but r * A overflows at r ~ 8.2e149
-        edges = tmp_path / "huge.tsv"
-        edges.write_text("0 1 1e300\n1 2 1\n")
-        assert run("detect", "--edges", str(edges)) == EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "error: Bethe Hessian at r = +-8.16497e+149 is not finite" in err
-        assert "Traceback" not in err
 
     def test_isolated_top_ids_keep_node_count(self, tmp_path):
         edges, truth, hier = (tmp_path / name for name in ("e.tsv", "t.json", "h.json"))

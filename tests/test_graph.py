@@ -1,6 +1,5 @@
 """Graph construction, Laplacians, aggregation, quotients, equitability."""
 
-import math
 import re
 import tempfile
 import time
@@ -368,15 +367,15 @@ def test_quotient_identities_hold_for_random_inputs(n, seed):
 
 
 def random_edge_file(rng):
-    """A small edge-list text with mixed separators, line ends, comments and
-    blank lines; about one file in three has one malformed line."""
+    """A small edge-list text with mixed separators, line ends, comments,
+    blank lines and pairs listed again in either order; about one file in
+    three has one malformed line."""
     seps = [" ", "\t", "  ", " \t", "\x0b", "\x1f"]
     ends = ["\n", "\r\n", "\r"]
-    bad = ["0", "1 2 3 4", "x 1", "1 y", "1.5 2", "-3 1", "2 -7", "1 2 w", "1 2 inf",
-           "1 2 nan", "1 2 -1e-3", "1 2 1e400", "3 4 0x1", "+3 1_0", "\u0663 1", "1\u00a02",
-           "0" * 30 + "1 2", "1 2 " + "0" * 40 + "1", "1 4" + "0" * 40, "# \u00e9", "1 2\x00",
-           "-0 1", "1 2 2\x00"]
-    lines = []
+    bad = ["0", "1 2 3 4", "x 1", "1 y", "1.5 2", "-3 1", "2 -7", "1 2 w", "1 2 1", "1 2 inf",
+           "3 4 0x1", "+3 1_0", "\u0663 1", "1\u00a02", "0" * 30 + "1 2", "1 2 " + "0" * 40 + "1",
+           "1 4" + "0" * 40, "# \u00e9", "1 2\x00", "-0 1", "1 2 2\x00"]
+    lines, pairs = [], []
     for _ in range(int(rng.integers(0, 12))):
         kind = rng.random()
         sep = lambda: seps[rng.integers(len(seps))]
@@ -386,8 +385,9 @@ def random_edge_file(rng):
             lines.append(sep() * int(rng.integers(2)))
         else:
             ids = [str(int(i)).zfill(int(rng.integers(1, 3))) for i in rng.integers(0, 30, 2)]
-            if rng.random() < 0.4:
-                ids.append(repr(float(rng.choice([0.0, 1.0, 2.5, 1e-7, 123.0]))))
+            if pairs and rng.random() < 0.3:  # a pair listed again, in either order
+                ids = pairs[rng.integers(len(pairs))][:: rng.choice([1, -1])]
+            pairs.append(ids)
             lines.append(sep()[: int(rng.integers(2))] + sep().join(ids) + sep()[: int(rng.integers(2))])
     if rng.random() < 0.35:
         lines.insert(int(rng.integers(len(lines) + 1)), bad[rng.integers(len(bad))])
@@ -399,18 +399,16 @@ def random_edge_file(rng):
 
 def reference_write_edge_list(graph, path):
     """The writer as a loop over the upper triangle's entries, one formatted
-    line each: the definition of ``write_edge_list``'s bytes."""
+    line each: the definition of ``write_edge_list``'s bytes, and of the
+    graphs it refuses."""
     coo = sp.triu(graph.adjacency, k=0).tocoo()
+    # a loop is stored twice on the diagonal
+    if any(w != (2.0 if u == v else 1.0) for u, v, w in zip(coo.row, coo.col, coo.data)):
+        raise ValueError("an edge list holds unit weights only")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={graph.n}\n")
-        for u, v, w in zip(coo.row, coo.col, coo.data):
-            u, v, w = int(u), int(v), float(w)
-            if u == v:
-                w = w / 2.0  # stored diagonal is twice the loop weight
-            if w == 1.0:
-                fh.write(f"{u} {v}\n")
-            else:
-                fh.write(f"{u} {v} {w!r}\n")
+        for u, v in zip(coo.row, coo.col):
+            fh.write(f"{int(u)} {int(v)}\n")
 
 
 def reference_read_edge_list(raw: bytes) -> Graph:
@@ -418,7 +416,7 @@ def reference_read_edge_list(raw: bytes) -> Graph:
     graph ``read_edge_list`` builds and of the first bad line it names."""
     n = graph_module._header_node_count(raw)
     limit = graph_module._NODE_BOUND if n is None else n
-    us, vs, ws = [], [], []
+    pairs = set()
     lines = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
     for line_no, line in enumerate(lines, start=1):
         parts = re.findall(rb"[^\t\n\x0b\x0c\r\x1c-\x1f ]+", line)
@@ -429,52 +427,35 @@ def reference_read_edge_list(raw: bytes) -> Graph:
         def bad(message):
             return EdgeListError(f"line {line_no}: {message}", line_no=line_no)
 
-        if len(parts) not in (2, 3):
-            raise bad(f"expected 'u v [w]', got {text!r}")
-        if not all(re.fullmatch(rb"-?[0-9]+", token) for token in parts[:2]):
+        if len(parts) != 2:
+            raise bad(f"expected 'u v', got {text!r}")
+        if not all(re.fullmatch(rb"-?[0-9]+", token) for token in parts):
             raise bad(f"node ids must be integers, got {text!r}")
-        if any(token.startswith(b"-") for token in parts[:2]):
+        if any(token.startswith(b"-") for token in parts):
             raise bad("node ids must be non-negative")
         ids = []
-        for token in parts[:2]:
+        for token in parts:
             digits = token.lstrip(b"0") or b"0"  # any number of leading zeros
             if len(digits) > 18 or int(digits) >= limit:
                 raise bad(f"node id {digits.decode()} out of range, ids must be below {limit}")
             ids.append(int(digits))
-        w = 1.0
-        if len(parts) == 3:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise bad(f"weight must be a number, got {parts[2].decode('utf-8', 'replace')!r}")
-            if not math.isfinite(w) or w < 0:
-                raise bad("weight must be finite and non-negative")
-        us.append(ids[0])
-        vs.append(ids[1])
-        ws.append(w)
-    if not us:
+        pairs.add((min(ids), max(ids)))  # a pair listed again is the same edge
+    if not pairs:
         raise EdgeListError("edge list contains no edges")
-    try:
-        return Graph.from_arrays(np.array(us), np.array(vs), np.array(ws), n=n)
-    except ValueError as exc:
-        raise EdgeListError(str(exc)) from exc
-
-
-WRITER_WEIGHTS = [1.0, 2.0, 0.5, 1 / 3, 1e-300]
+    u, v = np.array(sorted(pairs)).T
+    return Graph.from_arrays(u, v, n=n)
 
 
 @st.composite
 def writer_graphs(draw):
-    """Graphs with self-loops, duplicate edges, isolated top nodes, no edges
-    at all, and CSR adjacencies whose indices are unsorted within rows."""
+    """Unit-weight graphs with self-loops, isolated top nodes, no edges at
+    all, and CSR adjacencies whose indices are unsorted within rows."""
     n = draw(st.integers(min_value=1, max_value=30))
-    ids = st.lists(st.integers(min_value=0, max_value=n - 1), max_size=60)
-    u = np.array(draw(ids), dtype=np.int64)
-    v = np.array(draw(st.lists(st.integers(0, n - 1), min_size=u.size, max_size=u.size)),
-                 dtype=np.int64)
-    w = draw(st.lists(st.sampled_from(WRITER_WEIGHTS), min_size=u.size, max_size=u.size))
+    ids = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)
+    pairs = sorted({(min(a, b), max(a, b)) for a, b in draw(ids)})
+    u, v = (np.array([pair[i] for pair in pairs], dtype=np.int64) for i in (0, 1))
     isolated = draw(st.integers(min_value=0, max_value=3))
-    graph = Graph.from_arrays(u, v, np.array(w), n=n + isolated)
+    graph = Graph.from_arrays(u, v, n=n + isolated)
     if draw(st.booleans()):
         adjacency = graph.adjacency.copy()
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -508,8 +489,8 @@ class TestEdgeListWriter:
     def test_more_lines_than_one_chunk(self):
         rng = np.random.default_rng(4)
         u, v = rng.integers(0, 50_000, (2, 3 * graph_module._WRITE_CHUNK))
-        w = rng.choice(WRITER_WEIGHTS, u.size, p=[0.9, 0.025, 0.025, 0.025, 0.025])
-        graph = Graph.from_arrays(u, v, w)
+        pairs = np.unique(np.minimum(u, v) * 50_000 + np.maximum(u, v))
+        graph = Graph.from_arrays(pairs // 50_000, pairs % 50_000)
         raw = written_bytes(write_edge_list, graph)
         assert raw.count(b"\n") > 2 * graph_module._WRITE_CHUNK
         assert raw == written_bytes(reference_write_edge_list, graph)
@@ -520,7 +501,6 @@ class TestEdgeListWriter:
             st.tuples(
                 st.one_of(st.integers(0, 20), st.integers(2**31 - 100, 2**31 - 1)),
                 st.one_of(st.integers(0, 20), st.integers(2**31 - 100, 2**31 - 1)),
-                st.sampled_from(WRITER_WEIGHTS),
             ),
             min_size=1,
             max_size=20,
@@ -530,15 +510,36 @@ class TestEdgeListWriter:
         # a graph this large cannot be built (its row pointers alone take
         # 16 GB), so the lines of its upper-triangle entries are compared
         # with the reference loop run on a COO adjacency
-        u = np.array([min(a, b) for a, b, _ in entries], dtype=np.int64)
-        v = np.array([max(a, b) for a, b, _ in entries], dtype=np.int64)
-        w = np.array([x for *_, x in entries])
+        u = np.array([min(pair) for pair in entries], dtype=np.int64)
+        v = np.array([max(pair) for pair in entries], dtype=np.int64)
+        w = np.where(u == v, 2.0, 1.0)
         big = SimpleNamespace(
             n=2**31, adjacency=sp.coo_matrix((w, (u, v)), shape=(2**31, 2**31))
         )
         header, lines = written_bytes(reference_write_edge_list, big).split(b"\n", 1)
         assert header == b"# n=2147483648"
-        assert graph_module._edge_lines(u, v, w) == lines
+        assert graph_module._edge_lines(u, v) == lines
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(0, 1, 0.5), (1, 2)], id="half"),
+            pytest.param([(0, 1), (1, 0)], id="pair-summed-to-two"),
+            pytest.param([(0, 1), (2, 2, 0.5)], id="half-loop"),
+            pytest.param([(0, 1), (2, 2, 2.0)], id="double-loop"),
+            pytest.param([(0, 1), (1, 2, 0.0)], id="stored-zero"),
+            pytest.param([(0, 1), (2, 2, 0.0)], id="stored-zero-loop"),
+        ],
+    )
+    def test_other_weights_rejected(self, tmp_path, edges):
+        # the format holds unit weights only, and nothing is written
+        graph = Graph.from_edges(edges)
+        path = tmp_path / "edges.tsv"
+        with pytest.raises(ValueError, match="unit weights only"):
+            write_edge_list(graph, path)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="unit weights only"):
+            reference_write_edge_list(graph, path)
 
 
 def csr_bytes(graph):
@@ -585,35 +586,33 @@ class TestChunkedReader:
     @pytest.mark.parametrize(
         "content",
         [
-            pytest.param(b"0 1\r\n1 2 2.5\r\n2 3\r\n" * 8, id="crlf"),
-            pytest.param(b"0 1\r1 2 0.5\r2 3\r" * 8 + b"3 4\n5 6\r", id="lone-cr"),
+            pytest.param(b"0 1\r\n1 2\r\n2 3\r\n" * 8, id="crlf"),
+            pytest.param(b"0 1\r1 2\r2 3\r" * 8 + b"3 4\n5 6\r", id="lone-cr"),
             pytest.param(b"# c\n\n0 1\n  \n\t# 1 2 3 4\n1 2\n" * 8, id="comments-blanks"),
-            pytest.param(b"0 1\n" * 30 + b"1 2 0.25\n" + b"2 3\n" * 30, id="one-weighted-line"),
-            pytest.param(b"# n=40\n" + b"3 9 1.5\n" * 20 + b"7 8\n" * 20, id="header"),
+            pytest.param(b"0 1\n" * 30 + b"2 1\n" + b"1 2\n" * 30, id="repeated-pair"),
+            pytest.param(b"# n=40\n" + b"3 9\n" * 20 + b"7 8\n" * 20, id="header"),
         ],
     )
     def test_lines_across_chunks(self, tmp_path, content, chunk):
         path = tmp_path / "edges.tsv"
         path.write_bytes(content)
         with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
-            u, v, _ = graph_module._scan_edges(content, graph_module._NODE_BOUND)
+            u, v = graph_module._scan_edges(content, graph_module._NODE_BOUND)
             got = read_edge_list(path)
         # ids below 2^31 are kept as int32
         assert u.dtype == v.dtype == np.int32
         assert csr_bytes(got) == csr_bytes(reference_read_edge_list(content))
 
     @settings(max_examples=150, deadline=None)
-    @example(
-        graph=Graph.from_arrays([0, 1, 1], [1, 0, 0], [2.0, 1.0, 1 / 3]), write_chunk=1, read_chunk=1
-    )
+    @example(graph=Graph.from_edges([(0, 1), (2, 2)], n=4), write_chunk=1, read_chunk=1)
     @given(
         graph=writer_graphs(),
         write_chunk=st.sampled_from([1, 3, 16]),
         read_chunk=st.sampled_from([1, 5, 64]),
     )
     def test_written_files_read_back(self, graph, write_chunk, read_chunk):
-        # the files generate writes, duplicate weighted edges included, read
-        # back as the graph's canonical CSR
+        # the files generate writes, self-loops and isolated top nodes
+        # included, read back as the graph's canonical CSR
         with mock.patch.object(graph_module, "_WRITE_CHUNK", write_chunk):
             raw = written_bytes(write_edge_list, graph)
         with mock.patch.object(graph_module, "_READ_CHUNK", read_chunk):
@@ -627,7 +626,7 @@ class TestChunkedReader:
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_malformed_line_in_later_chunk(self, tmp_path, chunk):
         path = tmp_path / "edges.tsv"
-        path.write_bytes(b"0 1\n" * 40 + b"1 2 2.5\n0 x\n2 3\n")
+        path.write_bytes(b"0 1\n" * 40 + b"1 2\n0 x\n2 3\n")
         with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
             with pytest.raises(EdgeListError) as exc:
                 read_edge_list(path)
@@ -669,6 +668,10 @@ class TestChunkedReader:
         assert peak <= 4 * csr, peak / csr
 
 
+# each edge listed once, a self-loop among them
+ONCE = b"# n=6\n0 1\n1 2\n2 2\n3 5\n"
+
+
 class TestEdgeListIO:
     def test_array_reader_matches_line_reader(self, tmp_path):
         # reference_read_edge_list defines the format: read_edge_list builds
@@ -684,7 +687,28 @@ class TestEdgeListIO:
             valid = isinstance(expected[0], int)
             outcomes.add("ok" if valid else expected[0].split(": ")[-1][:20])
         # every kind of outcome came up
-        assert len(outcomes) == 8, outcomes
+        assert len(outcomes) == 6, outcomes
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(
+                ONCE + b"1 0\n2 1\n2 2\n5 3\n", id="both-orientations"
+            ),
+            pytest.param(b"# n=6\n0 1\n0 1\n1 2\n2 2\n3 5\n0 1\n", id="same-order"),
+            pytest.param(ONCE + b"2 2\n2 2\n", id="self-loop"),
+        ],
+    )
+    def test_repeated_pair_is_one_edge(self, tmp_path, content, chunk):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(content)
+        with mock.patch.object(graph_module, "_READ_CHUNK", chunk):
+            got = read_edge_list(path)
+        assert csr_bytes(got) == csr_bytes(read_bytes(ONCE))
+        assert got.adjacency[0, 1] == got.adjacency[1, 0] == 1.0
+        assert got.adjacency[2, 2] == 2.0
+        assert outcome(reference_read_edge_list, content) == csr_bytes(got)
 
     def test_long_token_in_large_file(self, tmp_path):
         # one 100 kB zero-padded id among 200,000 lines reads as its value,
@@ -725,18 +749,18 @@ class TestEdgeListIO:
         assert outcome(read_bytes, raw) == outcome(reference_read_edge_list, raw)
 
     def test_roundtrip(self, tmp_path):
-        g = Graph.from_edges([(0, 1, 0.5), (1, 2), (3, 3, 1.5)])
+        g = Graph.from_edges([(0, 1), (1, 2), (3, 3)])
         path = tmp_path / "edges.tsv"
         write_edge_list(g, path)
-        g2 = read_edge_list(path)
-        np.testing.assert_allclose(g2.adjacency.toarray(), g.adjacency.toarray())
+        assert path.read_bytes() == b"# n=4\n0 1\n1 2\n3 3\n"
+        assert csr_bytes(read_edge_list(path)) == csr_bytes(g)
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "edges.tsv"
-        path.write_text("# header\n\n0 1\n1 2 2.5\n")
+        path.write_text("# header\n\n0 1\n1 2\n")
         g = read_edge_list(path)
         assert g.n == 3
-        assert g.adjacency[1, 2] == 2.5
+        assert g.adjacency[1, 2] == 1.0
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "edges.tsv"
@@ -744,12 +768,6 @@ class TestEdgeListIO:
         with pytest.raises(EdgeListError, match="line 2") as exc:
             read_edge_list(path)
         assert exc.value.line_no == 2
-
-    def test_bad_weight_reports_number(self, tmp_path):
-        path = tmp_path / "edges.tsv"
-        path.write_text("0 1 w\n")
-        with pytest.raises(EdgeListError, match="line 1"):
-            read_edge_list(path)
 
     def test_roundtrip_keeps_isolated_top_nodes(self, tmp_path):
         g = Graph.from_edges([(0, 1)], n=3)
@@ -776,22 +794,20 @@ class TestEdgeListIO:
     @pytest.mark.parametrize(
         "content, edges",
         [
-            pytest.param(b"0 1\n1 2 2.5\n2 3 1\n", [(0, 1), (1, 2, 2.5), (2, 3)], id="mixed-width"),
-            pytest.param(b"0\t1\n1 \t 2\t0.5\n", [(0, 1), (1, 2, 0.5)], id="tabs"),
-            pytest.param(b"0 1\r\n1 2 3.0\r\n", [(0, 1), (1, 2, 3.0)], id="crlf"),
+            pytest.param(b"0 1\n1 22\n333 3\n", [(0, 1), (1, 22), (333, 3)], id="mixed-width"),
+            pytest.param(b"0\t1\n1 \t 2\t\n", [(0, 1), (1, 2)], id="tabs"),
+            pytest.param(b"0 1\r\n1 2\r\n", [(0, 1), (1, 2)], id="crlf"),
             pytest.param(b"0 1\r1 2\r", [(0, 1), (1, 2)], id="lone-cr"),
             pytest.param(b"\n\n0 1\n\n   \n1 2\n\n", [(0, 1), (1, 2)], id="blank-lines"),
             pytest.param(
                 b"  # note\n0 1\n\t# 5 6 7 8\n1 2\n", [(0, 1), (1, 2)], id="indented-comments"
             ),
-            pytest.param(b"0 1\n1 2 0.25", [(0, 1), (1, 2, 0.25)], id="no-final-newline"),
-            pytest.param(
-                b"0 1\n1 0\n0 1 0.5\n2 1\n", [(0, 1), (1, 0), (0, 1, 0.5), (2, 1)], id="duplicates"
-            ),
-            pytest.param(b"0 0\n0 1\n2 2 1.5\n", [(0, 0), (0, 1), (2, 2, 1.5)], id="self-loops"),
-            pytest.param(b"007 3 1e-1\n", [(7, 3, 0.1)], id="leading-zeros"),
+            pytest.param(b"0 1\n1 2", [(0, 1), (1, 2)], id="no-final-newline"),
+            # a pair listed again, in either order, is the same edge
+            pytest.param(b"0 1\n1 0\n0 1\n2 1\n", [(0, 1), (2, 1)], id="duplicates"),
+            pytest.param(b"0 0\n0 1\n2 2\n", [(0, 0), (0, 1), (2, 2)], id="self-loops"),
+            pytest.param(b"007 3\n", [(7, 3)], id="leading-zeros"),
             pytest.param(b"0" * 5000 + b"7 3\n", [(7, 3)], id="zero-padded-past-int-digit-limit"),
-            pytest.param("# caf\u00e9\n0 1 2_5.0\n".encode(), [(0, 1, 25.0)], id="python-float-weight"),
         ],
     )
     def test_valid_files(self, tmp_path, content, edges):
@@ -806,17 +822,12 @@ class TestEdgeListIO:
     @pytest.mark.parametrize(
         "content, message, line_no",
         [
-            pytest.param(b"0 1\n0 1 2 3\n", "line 2: expected 'u v [w]', got '0 1 2 3'", 2, id="four-columns"),
-            pytest.param(b"0 1\n  7  \n", "line 2: expected 'u v [w]', got '7'", 2, id="one-column"),
+            pytest.param(b"0 1\n0 1 2 3\n", "line 2: expected 'u v', got '0 1 2 3'", 2, id="four-columns"),
+            pytest.param(b"0 1\n  7  \n", "line 2: expected 'u v', got '7'", 2, id="one-column"),
             pytest.param(b"0 x\n", "line 1: node ids must be integers, got '0 x'", 1, id="non-integer"),
             pytest.param(b"0 1\n1.5 2\n", "line 2: node ids must be integers, got '1.5 2'", 2, id="float-id"),
             pytest.param(b"-1 x\n", "line 1: node ids must be integers, got '-1 x'", 1, id="negative-and-non-integer"),
             pytest.param(b"0 1\n2 -3\n", "line 2: node ids must be non-negative", 2, id="negative-id"),
-            pytest.param(b"0 1 w\n", "line 1: weight must be a number, got 'w'", 1, id="non-numeric-weight"),
-            pytest.param(b"0 1 inf\n", "line 1: weight must be finite and non-negative", 1, id="inf-weight"),
-            pytest.param(b"0 1 nan\n", "line 1: weight must be finite and non-negative", 1, id="nan-weight"),
-            pytest.param(b"0 1 -0.5\n", "line 1: weight must be finite and non-negative", 1, id="negative-weight"),
-            pytest.param(b"-1 2 x\n", "line 1: node ids must be non-negative", 1, id="ids-before-weight"),
             pytest.param(
                 b"# c\n0 1\n  # c2\n0 x\n", "line 4: node ids must be integers, got '0 x'", 4,
                 id="after-comments",
@@ -826,7 +837,7 @@ class TestEdgeListIO:
                 id="after-lone-cr",
             ),
             pytest.param(
-                b"0 1\r\n\r\n0 1 2 3\r\n", "line 3: expected 'u v [w]', got '0 1 2 3'", 3,
+                b"0 1\r\n\r\n0 1 2 3\r\n", "line 3: expected 'u v', got '0 1 2 3'", 3,
                 id="after-crlf",
             ),
             pytest.param(b"0 1\n0 x\n0 1 2 3\n", "line 2: node ids must be integers, got '0 x'", 2, id="first-error-wins"),
@@ -856,32 +867,38 @@ class TestEdgeListIO:
                 f"line 1: node id {'9' * 5000} out of range, ids must be below 2147483648", 1,
                 id="id-past-int-digit-limit",
             ),
-            # spellings that Python's int, float or str.split read
+            # spellings that Python's int or str.split read
             pytest.param(b"+3 1\n4 5\n", "line 1: node ids must be integers, got '+3 1'", 1, id="plus-sign"),
             pytest.param(b"4 5\n3 1_0\n", "line 2: node ids must be integers, got '3 1_0'", 2, id="underscore"),
             pytest.param(
-                b"+3 1_0 2.5\n", "line 1: node ids must be integers, got '+3 1_0 2.5'", 1,
-                id="both-weighted",
-            ),
-            pytest.param(
-                "+3 1_0 2_5.0\n\u0663 1\n# caf\u00e9\n4\u00a05\n".encode(),
-                "line 1: node ids must be integers, got '+3 1_0 2_5.0'", 1, id="python-int-forms",
+                "+3 1_0\n\u0663 1\n# caf\u00e9\n4\u00a05\n".encode(),
+                "line 1: node ids must be integers, got '+3 1_0'", 1, id="python-int-forms",
             ),
             pytest.param(
                 "0 1\n\u0663 1\n".encode(), "line 2: node ids must be integers, got '\u0663 1'", 2,
                 id="non-ascii-digit",
             ),
             pytest.param(
-                "0 1\n4\u00a05\n".encode(), "line 2: expected 'u v [w]', got '4\\xa05'", 2,
+                "0 1\n4\u00a05\n".encode(), "line 2: expected 'u v', got '4\\xa05'", 2,
                 id="non-ascii-space",
             ),
             pytest.param(b"0 1\n-0 1\n", "line 2: node ids must be non-negative", 2, id="minus-zero"),
-            pytest.param(
-                b"0 1 2\x00\n", "line 1: weight must be a number, got '2\\x00'", 1, id="nul-in-weight"
-            ),
-            pytest.param(
-                "0 1 2\u00e9\n".encode(), "line 1: weight must be a number, got '2\u00e9'", 1,
-                id="non-ascii-weight",
+            # a third token, of any form, is an error that names its line,
+            # and is found before the ids are read
+            *(
+                pytest.param(content, f"line {line_no}: expected 'u v', got {text!r}", line_no, id=name)
+                for name, content, line_no, text in [
+                    ("non-numeric-weight", b"0 1 w\n", 1, "0 1 w"),
+                    ("inf-weight", b"0 1 inf\n", 1, "0 1 inf"),
+                    ("nan-weight", b"0 1 nan\n", 1, "0 1 nan"),
+                    ("negative-weight", b"0 1 -0.5\n", 1, "0 1 -0.5"),
+                    ("unit-weight", b"0 1\n1 2 1\n", 2, "1 2 1"),
+                    ("nul-in-weight", b"0 1 2\x00\n", 1, "0 1 2\x00"),
+                    ("non-ascii-weight", "0 1 2\u00e9\n".encode(), 1, "0 1 2\u00e9"),
+                    ("ids-before-weight", b"-1 2 x\n", 1, "-1 2 x"),
+                    ("both-weighted", b"+3 1_0 2.5\n", 1, "+3 1_0 2.5"),
+                    ("python-float-weight", "# caf\u00e9\n0 1 2_5.0\n".encode(), 2, "0 1 2_5.0"),
+                ]
             ),
         ],
     )
