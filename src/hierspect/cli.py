@@ -206,8 +206,8 @@ def _parse_snr_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise click.UsageError(f"invalid --snr-range {text!r}")
-    if step <= 0 or stop < start:
-        raise click.UsageError("--snr-range needs step > 0 and stop >= start")
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
+        raise click.UsageError("--snr-range needs finite numbers, step > 0 and stop >= start")
     values = np.arange(start, stop + step / 2.0, step)
     return [float(v) for v in values]
 

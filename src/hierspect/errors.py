@@ -10,8 +10,7 @@ class DegenerateGraphError(HierspectError, ValueError):
 
 
 class SolverError(HierspectError, RuntimeError):
-    """An eigensolve failed, could not prove its count, or had no finite
-    operator to run on.
+    """An eigensolve failed or could not prove its count.
 
     Carries the residual norms ||M v - lambda v|| of whatever eigenpairs
     were available when it stopped, where there were any.

@@ -12,10 +12,10 @@ Conventions
   weight ``w`` therefore stores ``2w`` on the diagonal and contributes
   ``2w`` to its node's degree (symmetric-sum convention).
 * Degrees are weighted row sums of the adjacency, ``d = A @ 1``.
-* The edge-list format holds the simple unweighted graphs that ``detect``
-  models: ``u v`` lines, a pair listed more than once is one edge of
-  weight 1, and a self-loop stores 2.  ``Graph`` itself takes weights,
-  which the partition algebra uses.
+* The edge-list format and detection take simple unweighted graphs
+  (``Graph.unit_weights``): ``u v`` lines, a pair listed more than once is
+  one edge of weight 1, and a self-loop stores 2.  ``Graph`` itself takes
+  weights, which the partition algebra uses.
 """
 
 from __future__ import annotations
@@ -136,8 +136,10 @@ class AffinityMatrix:
     """Symmetric k-by-k matrix of estimated inter-group connection densities.
 
     ``group_sizes`` records the sizes of the partition the estimate
-    summarizes.  Entries lie in [0, 1] when estimated from a simple
-    unweighted graph; perturbation workflows may introduce negative entries.
+    summarizes.  From a unit-weight graph an entry lies in [0, 1], or on the
+    diagonal in [0, 1 + 1/n_r], reached when all ``n_r`` nodes of a group
+    are linked and looped (a self-loop stores 2).  Perturbation workflows
+    may introduce negative entries.
     """
 
     values: np.ndarray
@@ -294,6 +296,15 @@ class Graph:
     @property
     def max_degree(self) -> float:
         return float(self.degrees.max()) if self.n else 0.0
+
+    @property
+    def unit_weights(self) -> bool:
+        """Whether every edge has weight 1, as detection models: each stored
+        entry is 1 off the diagonal and 2 (a self-loop, counted twice) on it."""
+        adjacency = self.adjacency
+        diagonal = adjacency.diagonal()
+        units = np.count_nonzero(adjacency.data == 1) + np.count_nonzero(diagonal == 2)
+        return units == adjacency.nnz and not (diagonal == 1).any()
 
 
 def _check_partition(graph: Graph, partition: Partition) -> None:
@@ -590,19 +601,15 @@ def write_edge_list(graph: Graph, path) -> None:
     The first line is ``# n=<N>``.  Then each stored entry ``(u, v)`` of the
     upper triangle (``v >= u``) of the CSR adjacency gives one line ``u v``,
     in storage order; every line ends in a newline.  A graph with any other
-    weight than 1 per edge (a self-loop stores 2) raises ``ValueError``
+    weight than 1 per edge (``Graph.unit_weights``) raises ``ValueError``
     before the file is opened, because the format cannot hold it.
 
     The stored entries are taken ``_WRITE_CHUNK`` at a time, and a chunk's
     ids become rows of ASCII digits in one byte matrix.
     """
-    adjacency = graph.adjacency
-    diagonal = adjacency.diagonal()
-    # unit weights store 1 off the diagonal and 2 (a loop counted twice) on it
-    units = np.count_nonzero(adjacency.data == 1) + np.count_nonzero(diagonal == 2)
-    if units != adjacency.nnz or (diagonal == 1).any():
+    if not graph.unit_weights:
         raise ValueError("an edge list holds unit weights only")
-    indptr, indices = adjacency.indptr, adjacency.indices
+    indptr, indices = graph.adjacency.indptr, graph.adjacency.indices
     with open(path, "wb") as fh:
         fh.write(f"# n={graph.n}\n".encode())
         for start in range(0, indices.size, _WRITE_CHUNK):

@@ -97,7 +97,8 @@ def _bootstrap_draws(omega: AffinityMatrix, seeds) -> np.ndarray:
 
     The noise model of ``bootstrap_perturb_affinity``: each seed draws its
     symmetric standard-normal matrix from its own substream, and every
-    entry is moved by ``BOOTSTRAP_SCALE`` times its standard error.
+    entry is moved by ``BOOTSTRAP_SCALE`` times its standard error.  That
+    error clips the entry to [0, 1] (a looped group's diagonal can exceed 1).
     """
     k = omega.k
     sizes = omega.group_sizes.astype(np.float64)
@@ -418,9 +419,8 @@ def infer_hierarchy(graph: Graph, seed: int = 0, z: int = 100) -> HierarchyResul
     no size is accepted.  ``z`` bootstrap perturbations score each level's
     candidates.  Deterministic for fixed seed and input.
 
-    The model is the unweighted stochastic block model, so the graph's
-    weights are read as edge multiplicities: a weighted graph is not scaled
-    out, and multiplying every weight by one factor can change the levels.
+    The model is the unweighted stochastic block model: stage one raises
+    ``ValueError`` unless the graph is ``Graph.unit_weights``.
     """
     bethe = cluster_bethe_hessian(graph, seed=substream_seed(seed, "bethe"))
     finest = bethe.partition

@@ -2,10 +2,12 @@
 
 The finest level of a hierarchy is found by spectral clustering with the
 Bethe Hessian ``B_r = (r^2 - 1) I + D - r A``, evaluated at plus and minus
-the square root of the average degree.  The number of non-positive
-eigenvalues of the two operators estimates the number of assortative and
-disassortative groups respectively: one by-value LAPACK call per operator
-up to the dense cutoff, seeded ARPACK probes of doubling size above it.
+the square root of the average degree of a unit-weight graph (any other
+raises ``ValueError``, so every operator entry is finite).  The number of
+non-positive eigenvalues of the two operators estimates the number of
+assortative and disassortative groups respectively: one by-value LAPACK
+call per operator up to the dense cutoff, seeded ARPACK probes of
+doubling size above it.
 Above the cutoff the ``-r`` count runs in a forked child process while the
 parent counts at ``+r``; it stays in-process where ``fork`` is unavailable,
 on fewer than two CPUs, in a process that ``multiprocessing`` started, or
@@ -284,21 +286,6 @@ def _count_both_signs(graph: Graph, r: float, seed: int) -> tuple[tuple, tuple]:
     return plus, minus
 
 
-def _check_finite(graph: Graph, r: float) -> None:
-    """Raise ``SolverError`` unless ``B(+r)`` and ``B(-r)`` are finite.
-
-    Every entry of either operator is at most ``r^2 + 1 + max degree +
-    r * max weight`` in magnitude, so the operators are finite where that
-    bound is, without being built.
-    """
-    bound = r * r + 1.0 + graph.max_degree + r * float(graph.adjacency.data.max())
-    if not np.isfinite(bound):
-        raise SolverError(
-            f"Bethe Hessian at r = +-{r:.6g} is not finite: "
-            "r^2 + 1 + max degree + r * max weight overflows"
-        )
-
-
 def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     """Estimate the number of groups and cluster nodes at the finest scale.
 
@@ -309,12 +296,14 @@ def cluster_bethe_hessian(graph: Graph, seed: int = 0) -> BetheClustering:
     transpose picks first.  ``seed`` only seeds the sparse eigensolver's
     start vectors; up to the dense cutoff the result does not depend on it.
     Returns a single-group clustering (flagged) if no non-positive
-    eigenvalue exists.
+    eigenvalue exists.  Raises ``ValueError``, before an operator is built,
+    unless the graph is ``Graph.unit_weights``, the simple graph modelled.
     """
+    if not graph.unit_weights:
+        raise ValueError("detection takes unit weights only: 1 per edge, 2 on a self-loop")
     if graph.max_degree <= 0:
         raise DegenerateGraphError("graph has no edges (max degree is zero)")
     r = float(np.sqrt(graph.total_weight / graph.n))
-    _check_finite(graph, r)
     signs = _count_both_signs(graph, r, seed)
     (k_plus, _), (k_minus, _) = signs
     # the two counts can overlap below average degree 1; never exceed n

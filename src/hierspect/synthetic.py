@@ -50,10 +50,10 @@ class SynthSpec:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
         if self.n < 2:
             raise ValueError("n must be at least 2")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
-        if self.avg_degree <= 0:
-            raise ValueError("avg_degree must be positive")
+        if not (np.isfinite(self.snr) and self.snr > 0):
+            raise ValueError(f"snr must be finite and positive, got {self.snr}")
+        if not (np.isfinite(self.avg_degree) and self.avg_degree > 0):
+            raise ValueError(f"avg_degree must be finite and positive, got {self.avg_degree}")
         schedule = tuple(int(k) for k in self.schedule)
         if not schedule or any(k < 2 for k in schedule):
             raise ValueError("schedule entries must be at least 2")

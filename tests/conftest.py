@@ -34,3 +34,15 @@ def random_graph(rng, n, p=0.3, weighted=False):
     adj[mask] = rng.random(mask.sum()) + 0.5 if weighted else 1.0
     adj = adj + adj.T
     return Graph.from_dense(adj)
+
+
+# Graphs with some other weight than 1 per edge (a self-loop stores 2):
+# neither the edge-list writer nor detection takes them.
+NON_UNIT_EDGES = [
+    pytest.param([(0, 1, 0.5), (1, 2)], id="half"),
+    pytest.param([(0, 1), (1, 0)], id="pair-summed-to-two"),
+    pytest.param([(0, 1), (2, 2, 0.5)], id="half-loop"),
+    pytest.param([(0, 1), (2, 2, 2.0)], id="double-loop"),
+    pytest.param([(0, 1), (1, 2, 0.0)], id="stored-zero"),
+    pytest.param([(0, 1), (2, 2, 0.0)], id="stored-zero-loop"),
+]

@@ -113,6 +113,27 @@ class TestGenerate:
         assert "--groups or --schedule" in capsys.readouterr().err
         assert not (tmp_path / "e.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--snr", "nan", "snr must be finite"),
+            ("--snr", "inf", "snr must be finite"),
+            ("--avg-degree", "nan", "avg_degree must be finite"),
+            ("--avg-degree", "inf", "avg_degree must be finite"),
+        ],
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, option, value, message):
+        # not numpy's sampling error, with a traceback
+        options = {"--snr": "4", "--avg-degree": "10", option: value}
+        argv = [part for item in options.items() for part in item]
+        code = run(
+            "generate", "--model", "flat", "--groups", "4", "--group-size", "10", *argv,
+            "--edges", str(tmp_path / "e.tsv"), "--truth", str(tmp_path / "t.json"),
+        )
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "e.tsv").exists()
+
 
 class TestDetect:
     def test_detect_flat(self, flat_files, tmp_path):
@@ -478,8 +499,10 @@ class TestBenchmark:
             {"--snr-range": "0:0:1"},
             {"--avg-degree": "-5"},
             {"--model": "assortative", "--schedule": "2,5"},
+            {"--avg-degree": "nan"},
         ],
-        ids=["flat-two-levels", "n-1", "snr-0", "negative-degree", "non-refining-schedule"],
+        ids=["flat-two-levels", "n-1", "snr-0", "negative-degree", "non-refining-schedule",
+             "nan-degree"],
     )
     def test_invalid_spec_is_usage_error(self, tmp_path, overrides):
         options = {"--model": "flat", "--n": "80", "--schedule": "8",
@@ -494,6 +517,16 @@ class TestBenchmark:
             "benchmark", "--model", "flat", "--n", "80", "--avg-degree", "10",
             "--snr-range", "oops", "--out", str(tmp_path / "r.csv"),
         ) == EXIT_USAGE
+
+    @pytest.mark.parametrize("snr_range", ["1:3:nan", "1:inf:1", "nan:3:1", "-inf:3:1"])
+    def test_non_finite_range_is_usage_error(self, tmp_path, capsys, snr_range):
+        out = tmp_path / "r.csv"
+        assert run(
+            "benchmark", "--model", "flat", "--n", "80", "--avg-degree", "10",
+            "--snr-range", snr_range, "--out", str(out),
+        ) == EXIT_USAGE
+        assert "finite numbers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         args = [

@@ -31,10 +31,25 @@ from hierspect.errors import EdgeListError
 from hierspect import graph as graph_module
 from hierspect.graph import relative_partition
 
-from conftest import random_graph
+from conftest import NON_UNIT_EDGES, random_graph
 
 
 class TestGraphConstruction:
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param([(0, 1), (1, 2)], id="path"),
+            pytest.param([(0, 1, 1.0), (1, 1), (2, 2, 1.0)], id="explicit-ones-and-loops"),
+            pytest.param([], id="no-edges"),
+        ],
+    )
+    def test_unit_weights(self, edges):
+        assert Graph.from_edges(edges, n=3).unit_weights
+
+    @pytest.mark.parametrize("edges", NON_UNIT_EDGES)
+    def test_other_weights_are_not_unit(self, edges):
+        assert not Graph.from_edges(edges).unit_weights
+
     def test_path_graph_degrees(self):
         g = Graph.from_edges([(0, 1), (1, 2)])
         np.testing.assert_array_equal(g.degrees, [1.0, 2.0, 1.0])
@@ -520,17 +535,7 @@ class TestEdgeListWriter:
         assert header == b"# n=2147483648"
         assert graph_module._edge_lines(u, v) == lines
 
-    @pytest.mark.parametrize(
-        "edges",
-        [
-            pytest.param([(0, 1, 0.5), (1, 2)], id="half"),
-            pytest.param([(0, 1), (1, 0)], id="pair-summed-to-two"),
-            pytest.param([(0, 1), (2, 2, 0.5)], id="half-loop"),
-            pytest.param([(0, 1), (2, 2, 2.0)], id="double-loop"),
-            pytest.param([(0, 1), (1, 2, 0.0)], id="stored-zero"),
-            pytest.param([(0, 1), (2, 2, 0.0)], id="stored-zero-loop"),
-        ],
-    )
+    @pytest.mark.parametrize("edges", NON_UNIT_EDGES)
     def test_other_weights_rejected(self, tmp_path, edges):
         # the format holds unit weights only, and nothing is written
         graph = Graph.from_edges(edges)

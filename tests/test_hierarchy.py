@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hierspect.hierarchy as hierarchy
 from hierspect import (
     AffinityMatrix,
+    Graph,
     Partition,
     SynthSpec,
     bootstrap_perturb_affinity,
@@ -26,6 +28,9 @@ from hierspect import (
 )
 from hierspect.graph import relative_partition
 from hierspect.rng import substream_seed
+from hierspect.serialize import hierarchy_to_dict
+
+from conftest import NON_UNIT_EDGES
 
 
 class TestExpectedError:
@@ -559,6 +564,30 @@ class TestInferHierarchy:
             np.testing.assert_array_equal(
                 composed.assignment, level.composed_partition.assignment
             )
+
+    @pytest.mark.parametrize("edges", NON_UNIT_EDGES)
+    def test_other_weights_rejected(self, edges):
+        with pytest.raises(ValueError, match="detection takes unit weights only"):
+            infer_hierarchy(Graph.from_edges(edges), seed=0)
+
+    def test_weight_scale_rejected_or_unchanged(self):
+        # a uniform rescale of the weights is rejected; weights given as 1.0
+        # detect the same hierarchy as the unweighted graph (at s = 2 a
+        # multiplicity reading gave 74 groups here, at s = 0.5 levels [6, 5])
+        spec = SynthSpec(
+            model="disassortative", n=512, snr=8.0, avg_degree=20.0,
+            schedule=(2, 4, 8), seed=1,
+        )
+        graph, _ = generate_hierarchical(spec)
+        upper = sp.triu(graph.adjacency).tocoo()
+        for s in (0.5, 2.0):
+            scaled = Graph.from_arrays(upper.row, upper.col, s * upper.data, n=graph.n)
+            with pytest.raises(ValueError, match="detection takes unit weights only"):
+                infer_hierarchy(scaled, seed=7)
+        ones = Graph.from_arrays(upper.row, upper.col, np.ones(upper.nnz), n=graph.n)
+        expected = hierarchy_to_dict(infer_hierarchy(graph, seed=7), seed=7)
+        assert [level["k"] for level in expected["levels"]] == [8]
+        assert hierarchy_to_dict(infer_hierarchy(ones, seed=7), seed=7) == expected
 
     def test_er_graph_single_trivial_level(self):
         from hierspect import generate_planted_partition

@@ -2,7 +2,6 @@
 
 import multiprocessing
 import os
-import re
 import threading
 import time
 import weakref
@@ -26,7 +25,7 @@ from hierspect.errors import DegenerateGraphError, SolverError
 from hierspect.rng import substream_seed
 from hierspect.spectral import eigs_symmetric
 
-from conftest import random_graph
+from conftest import NON_UNIT_EDGES, random_graph
 
 # above the dense cutoff -r is counted in a forked child where
 # ``_fork_context`` gives a context: fork, two CPUs, no other thread
@@ -219,40 +218,37 @@ class TestClusterBetheHessian:
         assert np.sum(evals <= tau) == np.sum(evals <= 2 * tau)
 
     def test_fallback_single_group(self):
-        # a heavy single edge keeps both operators positive definite,
-        # forcing the flagged single-group fallback
-        g = Graph.from_edges([(0, 1, 2.0)])
+        # on the 6-cycle B_r = 3I -+ sqrt(2) A has least eigenvalue
+        # 3 - 2 sqrt(2) > 0 at both signs, forcing the flagged single-group
+        # fallback
+        g = Graph.from_edges([(i, (i + 1) % 6) for i in range(6)])
         res = cluster_bethe_hessian(g, seed=2)
+        assert (res.k_plus, res.k_minus) == (0, 0)
         assert res.k_hat == 1
         assert res.fallback
         assert res.partition.k == 1
 
     def test_k_hat_clamped_to_n(self):
-        # below average degree 1 every eigenvalue of both operators is
-        # negative; the estimate must still not exceed the node count
-        g = Graph.from_edges([(0, 1, 0.01), (1, 2, 0.01)])
+        # below average degree 1 the two counts overlap: one edge among four
+        # nodes gives r^2 - 1 = -1/2, so the two isolated nodes and one value
+        # of the edge are negative at both signs, and 3 + 3 is clamped to 4
+        g = Graph.from_edges([(0, 1)], n=4)
         res = cluster_bethe_hessian(g, seed=2)
-        assert res.k_hat <= g.n
+        assert (res.k_plus, res.k_minus) == (3, 3)
+        assert res.k_hat == g.n
 
-    @pytest.mark.parametrize("weight", [1e300, 1e250])
-    def test_overflowing_operator_rejected(self, monkeypatch, weight):
-        # degrees and total weight are finite; r * A is not
-        g = Graph.from_edges([(0, 1, weight), (1, 2, 1.0)])
-        r = np.sqrt(g.total_weight / g.n)
-
-        def solve(*args):
-            raise AssertionError("solved or forked before the check")
-
-        monkeypatch.setattr(spectral, "_count_both_signs", solve)
-        with pytest.raises(SolverError, match=re.escape(f"r = +-{r:.6g} is not finite")):
-            cluster_bethe_hessian(g, seed=0)
-
-    def test_large_finite_operators_pass(self):
-        g = Graph.from_edges([(0, 1, 1e200), (1, 2, 1.0)])
-        r = np.sqrt(g.total_weight / g.n)
-        spectral._check_finite(g, r)
-        for sign in (1.0, -1.0):
-            assert np.isfinite(bethe_hessian(g, sign * r).data).all()
+    @pytest.mark.parametrize("edges", NON_UNIT_EDGES)
+    def test_other_weights_rejected(self, monkeypatch, edges):
+        # detection takes unit weights only, checked before any operator is
+        # built or any child forked
+        calls = []
+        monkeypatch.setattr(spectral, "bethe_hessian", lambda *a: calls.append("bethe_hessian"))
+        monkeypatch.setattr(
+            spectral, "_count_both_signs", lambda *a: calls.append("_count_both_signs")
+        )
+        with pytest.raises(ValueError, match="detection takes unit weights only"):
+            cluster_bethe_hessian(Graph.from_edges(edges), seed=0)
+        assert calls == []
 
     def test_empty_graph_rejected(self):
         with pytest.raises(DegenerateGraphError):
