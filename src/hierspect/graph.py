@@ -99,12 +99,6 @@ class Partition:
         h[np.arange(self.n), self.assignment] = 1.0
         return h
 
-    def indicator_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (np.ones(self.n), (np.arange(self.n), self.assignment)),
-            shape=(self.n, self.k),
-        )
-
     def compose(self, coarser: "Partition") -> "Partition":
         """Apply a partition of this partition's groups to the items.
 
@@ -315,10 +309,20 @@ def _check_partition(graph: Graph, partition: Partition) -> None:
 
 
 def aggregate(graph: Graph, partition: Partition) -> np.ndarray:
-    """Group-aggregated adjacency ``H^T A H`` (within-group weight counted twice)."""
+    """Group-aggregated adjacency ``H^T A H`` (within-group weight counted twice).
+
+    One weighted ``bincount`` of the stored entries, keyed by the group
+    pair ``label[row] * k + label[col]``.  The keys are int32 while ``k^2``
+    fits, which lowers the peak memory by a quarter against int64 keys.
+    """
     _check_partition(graph, partition)
-    h = partition.indicator_sparse()
-    return (h.T @ graph.adjacency @ h).toarray()
+    adjacency = graph.adjacency
+    k = partition.k
+    index = np.int32 if k * k <= np.iinfo(np.int32).max else np.int64
+    labels = partition.assignment.astype(index)
+    keys = np.repeat(labels * index(k), np.diff(adjacency.indptr))
+    keys += labels[adjacency.indices]
+    return np.bincount(keys, weights=adjacency.data, minlength=k * k).reshape(k, k)
 
 
 def quotient(graph: Graph, partition: Partition) -> QuotientGraph:

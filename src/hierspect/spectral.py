@@ -7,7 +7,10 @@ raises ``ValueError``, so every operator entry is finite).  The number of
 non-positive eigenvalues of the two operators estimates the number of
 assortative and disassortative groups respectively: one by-value LAPACK
 call per operator up to the dense cutoff, seeded ARPACK probes of
-doubling size above it.
+doubling size above it.  Up to the cutoff the ``-r`` count, zero on
+assortative graphs, is first tried as one Cholesky factorization of the
+shifted operator, which proves a zero count with no eigensolve (Sylvester's
+law of inertia); ``+r`` counts at least one, so it goes straight to LAPACK.
 Above the cutoff the ``-r`` count runs in a forked child process while the
 parent counts at ``+r``; it stays in-process where ``fork`` is unavailable,
 on fewer than two CPUs, in a process that ``multiprocessing`` started, or
@@ -145,6 +148,22 @@ def bethe_hessian(graph: Graph, r: float) -> sp.csr_matrix:
     return (sp.diags(np.full(n, r * r - 1.0) + graph.degrees) - r * graph.adjacency).tocsr()
 
 
+def _all_above(matrix: sp.csr_matrix, tau: float) -> bool:
+    """Whether every eigenvalue of the symmetric ``matrix`` exceeds ``tau``.
+
+    By Sylvester's law of inertia that holds exactly when ``M - tau I`` has
+    a Cholesky factor, which LAPACK computes in place of one dense copy of
+    the matrix.  A value within rounding (about n * eps * ||M||) of ``tau``
+    can land on either side, as it can in ``eigh``.
+    """
+    dense = matrix.toarray()
+    dense.flat[:: dense.shape[0] + 1] -= tau
+    # dense is symmetric, so its transpose is the same matrix in the
+    # column-major order that lets LAPACK factor it without a copy
+    _, info = scipy.linalg.lapack.dpotrf(dense.T, overwrite_a=1, clean=0)
+    return info == 0
+
+
 def _count_nonpositive(
     matrix: sp.csr_matrix, seed: int, first: int = 1
 ) -> tuple[int, np.ndarray]:
@@ -152,7 +171,14 @@ def _count_nonpositive(
 
     Up to the dense cutoff one LAPACK call per matrix returns exactly the
     eigenpairs with values at or below ``tau`` (``subset_by_value``), and
-    the count is their number, capped at ``COUNT_CAP``.
+    the count is their number, capped at ``COUNT_CAP``.  Where a zero count
+    is likely (``first`` 1, the ``-r`` sign) one Cholesky factorization of
+    ``M - tau I`` comes first (``_all_above``): if it succeeds, no eigenvalue
+    is at or below ``tau`` and the count is 0 with no ``eigh``.  If it
+    fails, the ``eigh`` runs as it would have, and the factorization was
+    spent.  At ``+r`` (``first`` 8) the count is at least one on every
+    graph measured, so there the factorization would always fail and is
+    not tried.
 
     Above it the count and the vectors come from the same probes, with no
     second, tight solve.  The probes request smallest-algebraic eigenpairs
@@ -180,6 +206,8 @@ def _count_nonpositive(
     n = matrix.shape[0]
     tau = COUNT_TOL_FACTOR * float(np.abs(matrix.diagonal()).max())
     if n <= _DENSE_CUTOFF:
+        if first == 1 and _all_above(matrix, tau):
+            return 0, np.empty((n, 0))
         values, vectors = scipy.linalg.eigh(
             matrix.toarray(), subset_by_value=(-np.inf, tau)
         )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import hierspect.cli as cli
 import hierspect.spectral
 from hierspect import generate_planted_partition, solve_planted_params, write_edge_list
 from hierspect.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -527,6 +528,39 @@ class TestBenchmark:
         ) == EXIT_USAGE
         assert "finite numbers" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_too_many_runs_is_usage_error(self, tmp_path, capsys):
+        # each range is rejected before np.arange is asked for its values
+        limit = cli._max_benchmark_runs()
+        out = tmp_path / "r.csv"
+        for stop, reps, count in [
+            ("1e300", 1, "1e+300"), (limit + 1, 1, limit + 1), (limit // 2 + 1, 2, limit // 2 + 1),
+        ]:
+            assert run(
+                "benchmark", "--model", "flat", "--n", "80", "--avg-degree", "10",
+                "--snr-range", f"1:{stop}:1", "--reps", str(reps), "--out", str(out),
+            ) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert f"gives {count} SNR values; times --reps {reps}" in err
+            assert f"more than the {limit} runs" in err
+            assert not out.exists()
+
+    def test_sweeps_that_fit_in_memory_are_kept(self):
+        # 20,000 runs hold about 30 MB of tasks and rows
+        assert cli._max_benchmark_runs() >= 20_000
+        assert cli._parse_snr_range("1:20000:1", 1) == [float(v) for v in range(1, 20001)]
+        assert len(cli._parse_snr_range("0.1:10:0.1", 200)) == 100
+
+    def test_bound_without_a_memory_reading(self, monkeypatch):
+        monkeypatch.delattr(cli.os, "sysconf")
+        assert cli._max_benchmark_runs() == sys.maxsize // cli._BYTES_PER_RUN
+
+    def test_runs_at_the_bound_are_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_max_benchmark_runs", lambda: 2)
+        args = ["benchmark", "--model", "flat", "--n", "80", "--schedule", "8",
+                "--avg-degree", "10", "--snr-range", "6:6:1", "--z", "5"]
+        assert run(*args, "--reps", "2", "--out", str(tmp_path / "a.csv")) == EXIT_OK
+        assert run(*args, "--reps", "3", "--out", str(tmp_path / "b.csv")) == EXIT_USAGE
 
     def test_worker_pool_matches_sequential(self, tmp_path, monkeypatch):
         args = [

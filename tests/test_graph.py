@@ -219,6 +219,19 @@ class TestAggregateQuotient:
         p = Partition.from_labels(rng.integers(0, 4, 30))
         assert aggregate(g, p).sum() == pytest.approx(g.total_weight, rel=1e-12)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_aggregate_is_indicator_product(self, weighted):
+        # unit weights sum to integers, which any order adds exactly
+        rng = np.random.default_rng(6)
+        g = random_graph(rng, 60, weighted=weighted)
+        p = Partition.from_labels(rng.integers(0, 7, 60))
+        h = sp.csr_matrix((np.ones(60), (np.arange(60), p.assignment)), shape=(60, 7))
+        expected = (h.T @ g.adjacency @ h).toarray()
+        if weighted:
+            np.testing.assert_allclose(aggregate(g, p), expected, rtol=1e-14)
+        else:
+            assert np.array_equal(aggregate(g, p), expected)
+
     def test_quotient_k4(self, k4):
         p = Partition.from_labels([0, 0, 1, 1])
         q = quotient(k4, p)

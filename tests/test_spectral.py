@@ -278,7 +278,8 @@ class TestClusterBetheHessian:
 
 
 class TestDenseCount:
-    """Up to the dense cutoff each sign is one by-value LAPACK call."""
+    """Up to the dense cutoff +r is one by-value LAPACK call; -r first tries
+    one Cholesky factorization, which settles a zero count without it."""
 
     @pytest.fixture
     def twelve_k5(self):
@@ -294,8 +295,9 @@ class TestDenseCount:
 
     @pytest.fixture
     def spy(self, monkeypatch):
-        calls = {"eigs": [], "eigh": []}
+        calls = {"eigs": [], "eigh": [], "potrf": []}
         eigh = scipy.linalg.eigh
+        potrf = scipy.linalg.lapack.dpotrf
 
         def eigs_spy(matrix, m, seed):
             calls["eigs"].append(m)
@@ -305,8 +307,14 @@ class TestDenseCount:
             calls["eigh"].append(kwargs.get("subset_by_value"))
             return eigh(a, *args, **kwargs)
 
+        def potrf_spy(a, *args, **kwargs):
+            c, info = potrf(a, *args, **kwargs)
+            calls["potrf"].append(info)
+            return c, info
+
         monkeypatch.setattr(spectral, "eigs_symmetric", eigs_spy)
         monkeypatch.setattr(scipy.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", potrf_spy)
         return calls
 
     @staticmethod
@@ -320,7 +328,45 @@ class TestDenseCount:
         # r = 2 and every degree is 4, so both operators have diagonal 7
         tau = spectral.COUNT_TOL_FACTOR * 7.0
         assert spy["eigs"] == []
-        assert spy["eigh"] == [(-np.inf, tau), (-np.inf, tau)]
+        # +r: one eigh; -r: one factorization that succeeds, and no eigh
+        assert spy["eigh"] == [(-np.inf, tau)]
+        assert spy["potrf"] == [0]
+
+    def test_zero_count_makes_no_eigh(self, twelve_k5, spy):
+        op = bethe_hessian(twelve_k5, -2.0)
+        count, vectors = spectral._count_nonpositive(op, seed=4)
+        assert count == 0 and vectors.shape == (twelve_k5.n, 0)
+        assert spy["potrf"] == [0] and spy["eigh"] == [] and spy["eigs"] == []
+        # B_{-2} = 7I + 2A, and a K5's adjacency has eigenvalues 4 and -1
+        assert scipy.linalg.eigvalsh(op.toarray())[0] == pytest.approx(5.0)
+
+    def test_failed_factorization_falls_through_to_eigh(self, spy):
+        from hierspect import SynthSpec, generate_hierarchical
+
+        spec = SynthSpec(model="disassortative", n=512, snr=8.0, avg_degree=20.0,
+                         schedule=(2, 4, 8), seed=1)
+        g, _ = generate_hierarchical(spec)
+        op = bethe_hessian(g, -np.sqrt(g.total_weight / g.n))
+        count, vectors = spectral._count_nonpositive(op, seed=4)
+        assert len(spy["potrf"]) == 1 and spy["potrf"][0] > 0
+        assert len(spy["eigh"]) == 1 and spy["eigs"] == []
+        values, full = scipy.linalg.eigh(op.toarray())
+        tau = spectral.COUNT_TOL_FACTOR * np.abs(op.diagonal()).max()
+        assert count == int(np.sum(values <= tau)) >= 3
+        self.assert_orthonormal(vectors)
+        kept = full[:, :count]
+        np.testing.assert_allclose(vectors @ vectors.T, kept @ kept.T, atol=1e-10)
+
+    @pytest.mark.parametrize("side, expected", [(-np.inf, 1), (None, 1), (np.inf, 0)])
+    def test_value_next_to_tau(self, spy, side, expected):
+        # the other entries are 1, so tau is COUNT_TOL_FACTOR exactly; the
+        # last entry is one float below tau, tau itself, or one float above
+        tau = spectral.COUNT_TOL_FACTOR
+        last = tau if side is None else np.nextafter(tau, side)
+        op = sp.diags([1.0, 1.0, 1.0, last]).tocsr()
+        count, vectors = spectral._count_nonpositive(op, seed=0)
+        assert count == expected and vectors.shape == (4, expected)
+        assert spy["eigh"] == ([] if expected == 0 else [(-np.inf, tau)])
 
     def test_count_and_vectors_match_full_eigh(self, twelve_k5, spy):
         op = bethe_hessian(twelve_k5, 2.0)
